@@ -47,6 +47,7 @@ pub use hpcmon_viz as viz;
 pub use config::MonitorConfig;
 pub use hpcmon_sim::SimConfig;
 pub use system::{
-    CoreSnapshot, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder, MonitoringSystem,
-    RecoveryOutcome, RunSummary, TickInputs, TickStateHash,
+    CheckpointError, CoreSnapshot, DurableSample, DurableTickRecord, GatewayOp, MonitorBuilder,
+    MonitoringSystem, RecoveryOutcome, RunSummary, TickInputs, TickStateHash, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };

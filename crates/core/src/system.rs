@@ -51,7 +51,10 @@ pub mod durability;
 pub mod state;
 
 pub use durability::{DurableSample, DurableTickRecord, RecoveryOutcome};
-pub use state::{CoreSnapshot, GatewayOp, TickInputs, TickStateHash};
+pub use state::{
+    CheckpointError, CoreSnapshot, GatewayOp, TickInputs, TickStateHash, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+};
 
 /// Builder for a [`MonitoringSystem`].
 pub struct MonitorBuilder {
@@ -350,6 +353,7 @@ impl MonitorBuilder {
             supervision: self.supervision,
             durability: self.durability.map(|(m, cfg)| DurabilityPlane::new(m, cfg)),
             pending_inputs: TickInputs::default(),
+            replayed_durability_feed: None,
             health: self.health.map(HealthEngine::new),
             health_broker_baseline: (0, 0),
             chaos: self.chaos.map(|(seed, plan)| ChaosEngine::new(seed, plan)),
@@ -702,6 +706,10 @@ pub struct MonitoringSystem {
     // a durability plane is attached) so the tick-end WAL record can
     // replay them after a crash.
     pending_inputs: TickInputs,
+    // The `store.durability` feed a WAL record carried, applied by crash
+    // recovery's replay (which runs with no plane attached) in place of
+    // the plane's counters; consumed by the next tick.
+    replayed_durability_feed: Option<(u64, u64)>,
     chaos: Option<ChaosEngine>,
     supervisor: CollectorSupervisor,
     breaker: IngestBreaker<(Payload, Option<TraceContext>)>,
@@ -1378,6 +1386,7 @@ impl MonitoringSystem {
         //     worker count.  Exemplars are the one exception: a newly
         //     firing alert grabs the trace id nearest its subsystem's p99
         //     as a flamegraph link, and the canonical timeline zeroes it.
+        let replayed_feed = self.replayed_durability_feed.take();
         if let Some(health) = &mut self.health {
             let tick_no = self.engine.tick_count();
             let cov_pct = if self.supervision {
@@ -1440,18 +1449,21 @@ impl MonitoringSystem {
             ];
             // Durability evidence only exists with a plane attached; the
             // feed is simply absent otherwise (an SLO with no feed grades
-            // healthy — absence of a WAL is not an outage).
-            if let Some(plane) = &self.durability {
-                let dc = plane.counts();
+            // healthy — absence of a WAL is not an outage).  The tick's
+            // WAL record carries the pair, so crash recovery's plane-less
+            // replay feeds the health engine exactly what the run saw.
+            let durability_feed = match &self.durability {
+                Some(plane) => {
+                    let pair = durability::health_feed(plane.counts());
+                    self.pending_inputs.durability_feed = Some(pair);
+                    Some(pair)
+                }
+                None => replayed_feed,
+            };
+            if let Some((good, bad)) = durability_feed {
                 feeds.push((
                     "store.durability",
-                    FeedValue::Total {
-                        good: dc.records_appended as f64,
-                        bad: (dc.append_failures
-                            + dc.checkpoint_failures
-                            + dc.corrupt_events
-                            + dc.scrub_failures) as f64,
-                    },
+                    FeedValue::Total { good: good as f64, bad: bad as f64 },
                 ));
             }
             let insts = &self.instruments;

@@ -6,8 +6,9 @@
 //! when the flight recorder is on, and the collected frame's samples — to
 //! a segmented, CRC-framed write-ahead log, synced per the configured
 //! [`hpcmon_durability::SyncPolicy`].  On the checkpoint cadence the full
-//! [`super::CoreSnapshot`] is written (temp + rename, CRC-framed) and the
-//! log rotates.
+//! [`super::CoreSnapshot`] is written as one binary checkpoint
+//! ([`MonitoringSystem::encode_checkpoint`]; temp + rename, CRC-framed)
+//! and the log rotates.
 //!
 //! [`MonitoringSystem::recover_from_medium`] is the other half: after a
 //! crash, a *freshly built* system (same configuration) restores the
@@ -20,9 +21,11 @@
 //! at the first bad record, and everything dropped is counted in the
 //! returned [`RecoveryOutcome`].
 
-use super::state::{TickInputs, TickStateHash};
+use super::state::{CoreSnapshot, TickInputs, TickStateHash};
 use super::MonitoringSystem;
-use hpcmon_durability::{DurabilityConfig, DurabilityPlane, RecoveryReport, StorageMedium};
+use hpcmon_durability::{
+    DurabilityConfig, DurabilityCounts, DurabilityPlane, RecoveryReport, StorageMedium,
+};
 use hpcmon_metrics::ColumnFrame;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -112,6 +115,16 @@ pub fn decode_tick_record(bytes: &[u8]) -> Option<(DurableTickRecord, Vec<Durabl
     Some((record, samples))
 }
 
+/// The health plane's `store.durability` feed, `(good, bad)` totals:
+/// records appended against every append, checkpoint, corruption and
+/// scrub failure.
+pub(super) fn health_feed(c: DurabilityCounts) -> (u64, u64) {
+    (
+        c.records_appended,
+        c.append_failures + c.checkpoint_failures + c.corrupt_events + c.scrub_failures,
+    )
+}
+
 /// What [`MonitoringSystem::recover_from_medium`] did: the storage-layer
 /// scan report plus the replay's verdict.  `Serialize` so crash harnesses
 /// can diff outcomes as JSON.
@@ -135,9 +148,11 @@ pub struct RecoveryOutcome {
     /// Records whose payload passed the WAL CRC but failed tick-record
     /// decoding (schema skew) — skipped, never fatal.
     pub undecodable_records: u64,
-    /// Whether a CRC-valid checkpoint failed `CoreSnapshot` decoding; the
-    /// WAL tail cannot replay against unknown state, so recovery resumed
-    /// fresh and counted every tail record as dropped.
+    /// Whether a CRC-valid checkpoint failed to decode
+    /// ([`CoreSnapshot::decode`]) or did not fit this system
+    /// ([`MonitoringSystem::try_restore_snapshot`]); the WAL tail cannot
+    /// replay against unknown state, so recovery resumed fresh and
+    /// counted every tail record as dropped.
     pub checkpoint_undecodable: bool,
 }
 
@@ -174,18 +189,17 @@ impl MonitoringSystem {
         };
         let mut replay_tail = true;
         if let Some((_, payload)) = &state.checkpoint {
-            match serde_json::from_slice::<super::CoreSnapshot>(payload) {
-                Ok(snap) => self.restore_snapshot(snap),
-                Err(_) => {
-                    // CRC-valid bytes that are not a CoreSnapshot: schema
-                    // skew.  The tail was logged against state we cannot
-                    // reconstruct, so fail closed — resume fresh rather
-                    // than replay inputs against the wrong baseline.
-                    outcome.checkpoint_undecodable = true;
-                    outcome.checkpoint_tick = None;
-                    outcome.report.records_dropped += state.records.len() as u64;
-                    replay_tail = false;
-                }
+            let restored = CoreSnapshot::decode(payload).and_then(|s| self.try_restore_snapshot(s));
+            if restored.is_err() {
+                // CRC-valid bytes that are not a checkpoint of this
+                // system: schema skew, or a different configuration.  The
+                // tail was logged against state we cannot reconstruct, so
+                // fail closed — resume fresh rather than replay inputs
+                // against the wrong baseline.
+                outcome.checkpoint_undecodable = true;
+                outcome.checkpoint_tick = None;
+                outcome.report.records_dropped += state.records.len() as u64;
+                replay_tail = false;
             }
         }
         if replay_tail {
@@ -211,8 +225,7 @@ impl MonitoringSystem {
         outcome.resumed_tick = resumed;
         // Reseal: checkpoint the recovered state so the next crash
         // restores from here instead of re-replaying this whole tail.
-        let snap = serde_json::to_vec(&self.snapshot()).expect("CoreSnapshot serializes");
-        let _ = plane.checkpoint(resumed, &snap);
+        let _ = plane.checkpoint(resumed, &self.encode_checkpoint());
         self.pending_inputs = TickInputs::default();
         self.durability = Some(plane);
         outcome
@@ -233,8 +246,8 @@ impl MonitoringSystem {
     /// rotate and advance the scrub on their cadences, and republish the
     /// plane's counters as `durability.*` telemetry.
     pub(super) fn finish_tick_durability(&mut self, frame: &Arc<ColumnFrame>) {
-        // take/put-back: `self.snapshot()` below needs `&self` while the
-        // plane needs `&mut`.
+        // take/put-back: `self.encode_checkpoint()` below needs `&self`
+        // while the plane needs `&mut`.
         let Some(mut plane) = self.durability.take() else { return };
         let tick_no = self.engine.tick_count();
         let record = DurableTickRecord {
@@ -247,8 +260,7 @@ impl MonitoringSystem {
         plane.end_tick(tick_no);
         let cfg = plane.config();
         if cfg.checkpoint_every > 0 && tick_no.is_multiple_of(cfg.checkpoint_every) {
-            let snap = serde_json::to_vec(&self.snapshot()).expect("CoreSnapshot serializes");
-            let _ = plane.checkpoint(tick_no, &snap);
+            let _ = plane.checkpoint(tick_no, &self.encode_checkpoint());
         }
         if cfg.scrub_every > 0 && tick_no.is_multiple_of(cfg.scrub_every) {
             let _ = plane.scrub_step();

@@ -41,7 +41,7 @@ use hpcmon_health::HealthSnapshot;
 use hpcmon_metrics::{ColumnFrame, FrameCoverage, MetricId, StateHash, Ts};
 use hpcmon_response::{Consumer, ResponseSnapshot};
 use hpcmon_sim::{FaultKind, JobSpec, SimEngine, SimSnapshot};
-use hpcmon_store::StoreSnapshot;
+use hpcmon_store::{SnapshotError, StoreSnapshot};
 use hpcmon_transport::Payload;
 use serde::{Deserialize, Serialize, Value};
 
@@ -56,12 +56,22 @@ pub struct TickInputs {
     /// Gateway arrivals (queries and standing-subscription registrations)
     /// issued before this tick runs.
     pub gateway_ops: Vec<GatewayOp>,
+    /// The health plane's `store.durability` feed, `(good, bad)` totals,
+    /// as a durable run saw it this tick.  The WAL records it; crash
+    /// recovery replays with no durability plane attached, so the
+    /// recorded pair stands in for the plane's counters.  Absent (`None`)
+    /// without a health plane, and in records from older builds.
+    #[serde(default)]
+    pub durability_feed: Option<(u64, u64)>,
 }
 
 impl TickInputs {
     /// Whether this tick received no external input at all.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty() && self.faults.is_empty() && self.gateway_ops.is_empty()
+        self.jobs.is_empty()
+            && self.faults.is_empty()
+            && self.gateway_ops.is_empty()
+            && self.durability_feed.is_none()
     }
 }
 
@@ -160,11 +170,21 @@ impl TickStateHash {
 /// Not included (derived or observability-only, see the module docs): the
 /// log store, archive, trace store, telemetry timers, the gateway's
 /// result cache and worker pool, and the accumulated `signals()` journal.
+///
+/// On disk (durability checkpoints, flight-recorder snapshots) it travels
+/// as one binary checkpoint: see [`CoreSnapshot::encode`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CoreSnapshot {
+    head: CoreHead,
+    store: StoreSnapshot,
+}
+
+/// Everything in a [`CoreSnapshot`] but the store: the checkpoint's JSON
+/// head.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct CoreHead {
     tick: u64,
     sim: SimSnapshot,
-    store: StoreSnapshot,
     chaos: Option<ChaosSnapshot>,
     supervisor: SupervisorSnapshot,
     breaker: BreakerSnapshot,
@@ -190,10 +210,120 @@ pub struct CoreSnapshot {
     health: Option<HealthSnapshot>,
 }
 
+/// First eight bytes of every binary checkpoint.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HPCMCKPT";
+
+/// The checkpoint layout version this build writes and reads.
+pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// Magic, version and head length: the fixed checkpoint prefix.
+const CHECKPOINT_PREFIX_LEN: usize = 8 + 4 + 8;
+
+/// Why checkpoint bytes could not be restored into a system.  Recovery
+/// reports any of these as `checkpoint_undecodable` and resumes fresh.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The bytes do not start with [`CHECKPOINT_MAGIC`] (for example a
+    /// JSON checkpoint from an older build).
+    BadMagic,
+    /// A layout version this build does not read.
+    Version(u32),
+    /// The fixed prefix or the JSON head is cut short.
+    Truncated,
+    /// The JSON head does not decode.
+    Head(String),
+    /// The store section is damaged, or was taken from a differently
+    /// configured store.
+    Store(SnapshotError),
+    /// The snapshot was taken from a system with a different collector or
+    /// detector set.
+    Mismatch {
+        /// What differs.
+        what: &'static str,
+        /// This system's count.
+        expected: usize,
+        /// The snapshot's count.
+        found: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::BadMagic => write!(f, "not a binary checkpoint (bad magic)"),
+            CheckpointError::Version(v) => write!(f, "unsupported checkpoint version {v}"),
+            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
+            CheckpointError::Head(e) => write!(f, "checkpoint head: {e}"),
+            CheckpointError::Store(e) => write!(f, "checkpoint {e}"),
+            CheckpointError::Mismatch { what, expected, found } => write!(
+                f,
+                "snapshot has {found} {what}, this system {expected}: \
+                 was it built with the same config?"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// Lay out one checkpoint: magic, version, `u64` head length, the JSON
+/// head, then the binary store section `store` appends.
+fn write_checkpoint(head: &CoreHead, store: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let json = serde_json::to_vec(head).expect("CoreSnapshot head serializes");
+    let mut out = Vec::with_capacity(CHECKPOINT_PREFIX_LEN + json.len());
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(json.len() as u64).to_le_bytes());
+    out.extend_from_slice(&json);
+    store(&mut out);
+    out
+}
+
 impl CoreSnapshot {
     /// The tick count this snapshot was taken after.
     pub fn tick(&self) -> u64 {
-        self.tick
+        self.head.tick
+    }
+
+    /// Encode as one binary checkpoint (DESIGN.md §15): the 8-byte
+    /// [`CHECKPOINT_MAGIC`], the `u32` [`CHECKPOINT_VERSION`], a `u64`
+    /// length plus the JSON of everything but the store, then the store's
+    /// binary section ([`StoreSnapshot::encode`]).  Byte-identical to
+    /// [`MonitoringSystem::encode_checkpoint`] on the system it came from.
+    pub fn encode(&self) -> Vec<u8> {
+        write_checkpoint(&self.head, |out| self.store.encode(out))
+    }
+
+    /// Decode [`CoreSnapshot::encode`]'s output.  Fails closed, never
+    /// panics, on bytes of any other shape — including JSON checkpoints
+    /// from older builds ([`CheckpointError::BadMagic`]).
+    pub fn decode(bytes: &[u8]) -> Result<CoreSnapshot, CheckpointError> {
+        let Some(prefix) = bytes.get(..CHECKPOINT_PREFIX_LEN) else {
+            let magic = &bytes[..bytes.len().min(CHECKPOINT_MAGIC.len())];
+            return Err(if CHECKPOINT_MAGIC.starts_with(magic) {
+                CheckpointError::Truncated
+            } else {
+                CheckpointError::BadMagic
+            });
+        };
+        if prefix[..8] != CHECKPOINT_MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let version = u32::from_le_bytes(prefix[8..12].try_into().expect("4 bytes"));
+        if version != CHECKPOINT_VERSION {
+            return Err(CheckpointError::Version(version));
+        }
+        let head_len = u64::from_le_bytes(prefix[12..20].try_into().expect("8 bytes"));
+        let rest = &bytes[CHECKPOINT_PREFIX_LEN..];
+        let head_len = usize::try_from(head_len)
+            .ok()
+            .filter(|&n| n <= rest.len())
+            .ok_or(CheckpointError::Truncated)?;
+        let (json, section) = rest.split_at(head_len);
+        let head: CoreHead =
+            serde_json::from_slice(json).map_err(|e| CheckpointError::Head(e.to_string()))?;
+        let store = StoreSnapshot::decode(section).map_err(CheckpointError::Store)?;
+        Ok(CoreSnapshot { head, store })
     }
 }
 
@@ -242,6 +372,9 @@ impl MonitoringSystem {
             self.pending_inputs.faults.extend(inputs.faults.iter().cloned());
             self.pending_inputs.gateway_ops.extend(inputs.gateway_ops.iter().cloned());
         }
+        if inputs.durability_feed.is_some() {
+            self.replayed_durability_feed = inputs.durability_feed;
+        }
         for spec in &inputs.jobs {
             self.engine.submit_job(spec.clone());
         }
@@ -267,10 +400,21 @@ impl MonitoringSystem {
     /// Capture the full deterministic state at the current tick boundary.
     /// Call between ticks only (mid-tick state is not observable anyway).
     pub fn snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
+        CoreSnapshot { head: self.snapshot_head(), store: self.store.snapshot() }
+    }
+
+    /// [`MonitoringSystem::snapshot`] encoded as a binary checkpoint —
+    /// byte-identical to `self.snapshot().encode()`, but the store section
+    /// is written straight from the live shards instead of from a cloned
+    /// [`StoreSnapshot`].  The durability plane checkpoints with this.
+    pub fn encode_checkpoint(&self) -> Vec<u8> {
+        write_checkpoint(&self.snapshot_head(), |out| self.store.encode_snapshot(out))
+    }
+
+    fn snapshot_head(&self) -> CoreHead {
+        CoreHead {
             tick: self.engine.tick_count(),
             sim: self.engine.snapshot(),
-            store: self.store.snapshot(),
             chaos: self.chaos.as_ref().map(|c| c.snapshot()),
             supervisor: self.supervisor.snapshot(),
             breaker: self.breaker.control_snapshot(),
@@ -296,24 +440,40 @@ impl MonitoringSystem {
 
     /// Load a snapshot back into this system, in place.  The system must
     /// have been built from the same configuration that produced the
-    /// snapshot (same collectors, detectors, worker topology expressible
-    /// either way — shard counts and slot counts are asserted).
+    /// snapshot (same collectors, detectors, store shards and seal
+    /// threshold; any worker topology).
     ///
     /// The accumulated `signals()` journal is cleared: after a seek it
     /// would describe ticks this instance never ran.
+    ///
+    /// # Panics
+    ///
+    /// On a snapshot from a differently configured system; use
+    /// [`MonitoringSystem::try_restore_snapshot`] to get the error instead.
     pub fn restore_snapshot(&mut self, snap: CoreSnapshot) {
-        assert_eq!(
-            snap.collector_rngs.len(),
-            self.collectors.len(),
-            "snapshot collector count mismatch: was the system built with the same config?"
-        );
-        assert_eq!(
-            snap.detectors.len(),
-            self.detectors.len(),
-            "snapshot detector count mismatch: was the system built with the same config?"
-        );
+        if let Err(e) = self.try_restore_snapshot(snap) {
+            panic!("restore_snapshot: {e}");
+        }
+    }
+
+    /// [`MonitoringSystem::restore_snapshot`], refusing a snapshot that
+    /// does not fit this system (collector, detector, store shard or seal
+    /// threshold counts differ) with an error — checked before anything
+    /// is changed, so a refused snapshot leaves the system as it was.
+    pub fn try_restore_snapshot(&mut self, snap: CoreSnapshot) -> Result<(), CheckpointError> {
+        let CoreSnapshot { head: snap, store } = snap;
+        for (what, expected, found) in [
+            ("collectors", self.collectors.len(), snap.collector_rngs.len()),
+            ("detectors", self.detectors.len(), snap.detectors.len()),
+        ] {
+            if expected != found {
+                return Err(CheckpointError::Mismatch { what, expected, found });
+            }
+        }
+        // The store checks its own fit before it changes anything, so it
+        // goes first: past this line the restore cannot fail.
+        self.store.load_snapshot(store).map_err(CheckpointError::Store)?;
         self.engine = SimEngine::restore(snap.sim);
-        self.store.load_snapshot(&snap.store);
         self.chaos = snap.chaos.map(ChaosEngine::restore);
         self.supervisor = CollectorSupervisor::restore(snap.supervisor);
         self.breaker = IngestBreaker::restore(
@@ -357,6 +517,7 @@ impl MonitoringSystem {
         // Inputs captured for the WAL describe ticks this instance will
         // never journal (the snapshot predates them).
         self.pending_inputs = TickInputs::default();
+        Ok(())
     }
 
     /// End-of-tick hashing hook, called from `tick()` when hashing is on.

@@ -61,6 +61,12 @@ impl CompKind {
         CompKind::BurstBuffer,
     ];
 
+    /// The kind whose `as u8` discriminant is `v`, if any (binary codecs
+    /// store kinds as one byte).
+    pub fn from_u8(v: u8) -> Option<CompKind> {
+        CompKind::ALL.get(v as usize).copied()
+    }
+
     /// Short lowercase label used in topics and dashboards.
     pub fn label(self) -> &'static str {
         match self {
@@ -173,6 +179,14 @@ impl std::fmt::Display for CompId {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn kind_byte_round_trips() {
+        for kind in CompKind::ALL {
+            assert_eq!(CompKind::from_u8(kind as u8), Some(kind));
+        }
+        assert_eq!(CompKind::from_u8(CompKind::ALL.len() as u8), None);
+    }
 
     #[test]
     fn compact_size() {

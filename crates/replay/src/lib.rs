@@ -15,7 +15,8 @@
 //!   checkpoints complete snapshots every K ticks.
 //! * [`EventLog`] is the compact framed binary artifact
 //!   (`HPCMRLY1` magic, `[kind][len u32 LE][payload]` frames, explicit
-//!   end frame so truncation is detected, JSON payloads).
+//!   end frame so truncation is detected; JSON header and tick payloads,
+//!   snapshots as binary checkpoints).
 //! * [`Replayer`] rebuilds an identical system from the log header,
 //!   re-drives the tick loop from the logged inputs, and verifies the
 //!   state-hash chain tick by tick.  [`Replayer::seek`] restores the

@@ -3,8 +3,11 @@
 //! Layout: an 8-byte magic (`HPCMRLY1`), then a sequence of frames
 //! `[kind: u8][len: u32 LE][payload: len bytes]`, terminated by an
 //! explicit end frame.  Payloads are the canonical JSON encodings of the
-//! run header ([`RunSpec`]), one [`TickRecord`] per tick, and periodic
-//! [`SnapshotRecord`]s; the explicit terminator means a log that was cut
+//! run header ([`RunSpec`]) and of one [`TickRecord`] per tick, and
+//! periodic [`SnapshotRecord`]s as `[tick: u64 LE][checkpoint]` — the same
+//! binary checkpoint ([`CoreSnapshot::encode`]) the crash-durability plane
+//! writes, so one snapshot format serves both journals.  The explicit
+//! terminator means a log that was cut
 //! off mid-write (crashed recorder, truncated artifact upload) is
 //! *rejected* as [`LogError::Truncated`] rather than silently replayed
 //! short.
@@ -43,6 +46,24 @@ pub struct SnapshotRecord {
     pub tick: u64,
     /// The serialized system state.
     pub state: CoreSnapshot,
+}
+
+impl SnapshotRecord {
+    /// The frame payload: the tick, then the binary checkpoint.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = self.tick.to_le_bytes().to_vec();
+        out.extend_from_slice(&self.state.encode());
+        out
+    }
+
+    fn decode(payload: &[u8]) -> Result<SnapshotRecord, LogError> {
+        let Some((tick, checkpoint)) = payload.split_first_chunk::<8>() else {
+            return Err(LogError::Corrupt("snapshot frame shorter than its tick".into()));
+        };
+        let state =
+            CoreSnapshot::decode(checkpoint).map_err(|e| LogError::Corrupt(e.to_string()))?;
+        Ok(SnapshotRecord { tick: u64::from_le_bytes(*tick), state })
+    }
 }
 
 /// Why a byte buffer failed to parse as an event log.
@@ -98,13 +119,13 @@ impl EventLog {
         for rec in &self.ticks {
             push_frame(&mut out, FRAME_TICK, &encode_json(rec));
             while snap.peek().is_some_and(|s| s.tick == rec.tick) {
-                push_frame(&mut out, FRAME_SNAPSHOT, &encode_json(snap.next().unwrap()));
+                push_frame(&mut out, FRAME_SNAPSHOT, &snap.next().unwrap().encode());
             }
         }
         // Snapshots recorded past the last tick (tick-0 checkpoints of an
         // empty run) still need flushing.
         for s in snap {
-            push_frame(&mut out, FRAME_SNAPSHOT, &encode_json(s));
+            push_frame(&mut out, FRAME_SNAPSHOT, &s.encode());
         }
         push_frame(&mut out, FRAME_END, &[]);
         out
@@ -164,7 +185,7 @@ impl EventLog {
                     }
                     ticks.push(rec);
                 }
-                FRAME_SNAPSHOT => snapshots.push(decode_json(payload)?),
+                FRAME_SNAPSHOT => snapshots.push(SnapshotRecord::decode(payload)?),
                 FRAME_END => {
                     if !payload.is_empty() {
                         return Err(LogError::Corrupt("end frame carries payload".into()));

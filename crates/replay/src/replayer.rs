@@ -216,8 +216,7 @@ impl<'log> Replayer<'log> {
 
 /// Snapshots are stored in the log by value; restoring must not alias the
 /// log's copy (restore consumes a `CoreSnapshot`), so round-trip through
-/// the serde value layer — the same path a file-loaded log takes.
+/// the checkpoint codec — the same path a file-loaded log takes.
 fn roundtrip(state: &hpcmon::CoreSnapshot) -> hpcmon::CoreSnapshot {
-    let bytes = serde_json::to_vec(state).expect("snapshots always serialize");
-    serde_json::from_slice(&bytes).expect("snapshots always round-trip")
+    hpcmon::CoreSnapshot::decode(&state.encode()).expect("snapshots always round-trip")
 }

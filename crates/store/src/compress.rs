@@ -10,11 +10,28 @@
 use hpcmon_metrics::Ts;
 
 /// Bit-level writer over a byte vector.
+///
+/// Bits accumulate MSB-first in a 64-bit word that spills to the byte
+/// vector eight bytes at a time, so a `write_bits` call costs a shift and
+/// an or, not one branch per bit.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    // Bits used in the final byte (0..=7); 0 means byte-aligned.
-    bit_pos: u8,
+    // Pending bits, right-aligned: the low `pending` bits of `acc` follow
+    // the last byte of `bytes`, most significant first.
+    acc: u64,
+    // 0..=63: a full word is flushed as soon as it fills.
+    pending: u8,
+}
+
+/// The low `n` bits of `value` (`n` in 0..=64).
+#[inline]
+fn low_bits(value: u64, n: u8) -> u64 {
+    if n >= 64 {
+        value
+    } else {
+        value & ((1u64 << n) - 1)
+    }
 }
 
 impl BitWriter {
@@ -25,36 +42,44 @@ impl BitWriter {
 
     /// Append a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.bit_pos);
-        }
-        self.bit_pos = (self.bit_pos + 1) % 8;
+        self.write_bits(bit as u64, 1);
     }
 
     /// Append the low `n` bits of `value`, most significant first.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, n: u8) {
         assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        let value = low_bits(value, n);
+        let free = 64 - self.pending;
+        if n < free {
+            self.acc = (self.acc << n) | value;
+            self.pending += n;
+            return;
+        }
+        // The word fills: emit it and keep the `n - free` bits left over.
+        let rest = n - free;
+        let word = if free == 64 { value } else { (self.acc << free) | (value >> rest) };
+        self.bytes.extend_from_slice(&word.to_be_bytes());
+        self.acc = low_bits(value, rest);
+        self.pending = rest;
     }
 
-    /// Finish, returning the packed bytes.
-    pub fn finish(self) -> Vec<u8> {
+    /// Finish, returning the packed bytes (the final byte zero-padded).
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let aligned = self.acc << (64 - self.pending);
+            let tail = (self.pending as usize).div_ceil(8);
+            self.bytes.extend_from_slice(&aligned.to_be_bytes()[..tail]);
+        }
         self.bytes
     }
 
     /// Bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.bytes.len() * 8 + self.pending as usize
     }
 }
 
@@ -79,12 +104,38 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    /// Next `n` bits as an integer (MSB first).
+    /// Next `n` bits as an integer (MSB first); `None` (with the input
+    /// consumed) when fewer than `n` bits remain.
+    #[inline]
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        assert!(n <= 64);
+        if n == 0 {
+            return Some(0);
         }
+        let n = n as usize;
+        let total = self.bytes.len() * 8;
+        if total - self.pos < n {
+            self.pos = total;
+            return None;
+        }
+        let first = self.pos / 8;
+        let skip = self.pos % 8;
+        let v = if skip + n <= 64 && first + 8 <= self.bytes.len() {
+            // Fast path: the field lies inside one big-endian word.
+            let word =
+                u64::from_be_bytes(self.bytes[first..first + 8].try_into().expect("8 bytes"));
+            (word << skip) >> (64 - n)
+        } else {
+            // Near the end of input, or a field straddling nine bytes.
+            let last = (self.pos + n - 1) / 8;
+            let mut acc = 0u128;
+            for &b in &self.bytes[first..=last] {
+                acc = (acc << 8) | b as u128;
+            }
+            let below = (last - first + 1) * 8 - skip - n;
+            low_bits((acc >> below) as u64, n as u8)
+        };
+        self.pos += n;
         Some(v)
     }
 }
@@ -269,7 +320,8 @@ pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
                 meaningful = 64;
             }
         }
-        let trailing = 64 - leading - meaningful;
+        // A corrupt window header can claim more than 64 bits.
+        let trailing = 64u8.checked_sub(leading + meaningful)?;
         let xor = r.read_bits(meaningful)? << trailing;
         let bits = prev ^ xor;
         out.push(f64::from_bits(bits));
@@ -282,6 +334,69 @@ pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The original bit-at-a-time codec, kept as the oracle the
+    /// word-at-a-time `BitWriter`/`BitReader` must match byte for byte.
+    mod oracle {
+        #[derive(Default)]
+        pub struct BitWriter {
+            bytes: Vec<u8>,
+            bit_pos: u8,
+        }
+
+        impl BitWriter {
+            pub fn write_bit(&mut self, bit: bool) {
+                if self.bit_pos == 0 {
+                    self.bytes.push(0);
+                }
+                if bit {
+                    let last = self.bytes.len() - 1;
+                    self.bytes[last] |= 1 << (7 - self.bit_pos);
+                }
+                self.bit_pos = (self.bit_pos + 1) % 8;
+            }
+
+            pub fn write_bits(&mut self, value: u64, n: u8) {
+                for i in (0..n).rev() {
+                    self.write_bit((value >> i) & 1 == 1);
+                }
+            }
+
+            pub fn bit_len(&self) -> usize {
+                if self.bit_pos == 0 {
+                    self.bytes.len() * 8
+                } else {
+                    (self.bytes.len() - 1) * 8 + self.bit_pos as usize
+                }
+            }
+
+            pub fn finish(self) -> Vec<u8> {
+                self.bytes
+            }
+        }
+
+        pub struct BitReader<'a> {
+            pub bytes: &'a [u8],
+            pub pos: usize,
+        }
+
+        impl BitReader<'_> {
+            pub fn read_bit(&mut self) -> Option<bool> {
+                let byte = self.bytes.get(self.pos / 8)?;
+                let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
+                self.pos += 1;
+                Some(bit)
+            }
+
+            pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+                let mut v = 0u64;
+                for _ in 0..n {
+                    v = (v << 1) | self.read_bit()? as u64;
+                }
+                Some(v)
+            }
+        }
+    }
 
     #[test]
     fn bitwriter_round_trip() {
@@ -520,6 +635,30 @@ mod tests {
                 prop_assert_eq!(out.len() as u64, n);
                 prop_assert!(n == 0 || 64 + (n as usize - 1) <= body.len() * 8);
                 prop_assert!(out.capacity() <= bytes.len().saturating_mul(8));
+            }
+        }
+
+        #[test]
+        fn prop_word_codec_matches_bit_at_a_time_oracle(
+            fields in proptest::collection::vec((any::<u64>(), 0u8..65), 0..120),
+            tail in proptest::collection::vec(0u8..65, 0..8),
+        ) {
+            let mut fast = BitWriter::new();
+            let mut slow = oracle::BitWriter::default();
+            for &(v, n) in &fields {
+                fast.write_bits(v, n);
+                slow.write_bits(v, n);
+                prop_assert_eq!(fast.bit_len(), slow.bit_len());
+            }
+            let (fast, slow) = (fast.finish(), slow.finish());
+            prop_assert_eq!(&fast, &slow);
+            // Read back the same field widths, then keep reading past the
+            // end: both readers agree on every value and on exhaustion.
+            let mut r = BitReader::new(&fast);
+            let mut o = oracle::BitReader { bytes: &slow, pos: 0 };
+            for n in fields.iter().map(|&(_, n)| n).chain(tail.iter().copied()) {
+                prop_assert_eq!(r.read_bits(n), o.read_bits(n));
+                prop_assert_eq!(r.read_bit(), o.read_bit());
             }
         }
 

@@ -7,7 +7,7 @@
 //! evict warm blocks wholesale and reload them later.
 
 use crate::compress;
-use hpcmon_metrics::{ColumnFrame, CompId, Frame, MetricId, Sample, SeriesKey, Ts};
+use hpcmon_metrics::{ColumnFrame, CompId, CompKind, Frame, MetricId, Sample, SeriesKey, Ts};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -894,10 +894,15 @@ impl TimeSeriesStore {
             }
         }
         series.sort_by_key(|s| s.key);
+        StoreSnapshot { series, ..self.snapshot_head() }
+    }
+
+    /// The snapshot's header fields: everything but the series.
+    fn snapshot_head(&self) -> StoreSnapshot {
         StoreSnapshot {
             num_shards: self.shards.len(),
             seal_threshold: self.seal_threshold,
-            series,
+            series: Vec::new(),
             counts: self.op_counts(),
             corrupt_blocks: self.corrupt_blocks.load(Ordering::Relaxed),
             epoch: self.epoch.load(Ordering::Relaxed),
@@ -905,16 +910,56 @@ impl TimeSeriesStore {
         }
     }
 
+    /// Append the binary checkpoint section of the live store to `out`:
+    /// byte-identical to `self.snapshot().encode(out)`, but encoded
+    /// straight from the shards under their read locks, without cloning
+    /// the contents into a [`StoreSnapshot`] first.
+    pub fn encode_snapshot(&self, out: &mut Vec<u8>) {
+        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let mut slots: Vec<&SeriesSlot> = guards.iter().flat_map(|g| g.slots.iter()).collect();
+        slots.sort_unstable_by_key(|s| s.key);
+        let occ = self.occupancy();
+        out.reserve(
+            SECTION_HEAD_LEN
+                + slots.len() * (SERIES_HEAD_LEN + 8)
+                + occ.hot_points * POINT_LEN
+                + occ.warm_bytes
+                + (occ.warm_points / self.seal_threshold + slots.len()) * BLOCK_HEAD_LEN,
+        );
+        self.snapshot_head().encode_series(
+            slots.len(),
+            slots.iter().map(|s| (s.key, s.data.hot.as_slice(), s.data.warm.as_slice())),
+            out,
+        );
+    }
+
+    /// Whether `snap` was taken from a store configured like this one
+    /// (shard choice is a pure function of the key and shard count, and
+    /// the seal threshold shapes every future block).
+    fn check_fits(&self, snap: &StoreSnapshot) -> Result<(), SnapshotError> {
+        let mismatch = |what, expected: usize, found: usize| SnapshotError::Mismatch {
+            what,
+            expected: expected as u64,
+            found: found as u64,
+        };
+        if snap.num_shards != self.shards.len() {
+            return Err(mismatch("shard count", self.shards.len(), snap.num_shards));
+        }
+        if snap.seal_threshold != self.seal_threshold {
+            return Err(mismatch("seal threshold", self.seal_threshold, snap.seal_threshold));
+        }
+        Ok(())
+    }
+
     /// Load a checkpoint into this store **in place**, replacing all
     /// contents and counters.  The shard count and seal threshold must
-    /// match the checkpoint (shard choice is a pure function of the key
-    /// and shard count).  In-place restore keeps every
-    /// `Arc<TimeSeriesStore>` handle (gateway, self-collector, query
-    /// engines) valid, so replay seek swaps state without rebuilding the
-    /// surrounding system.
-    pub fn load_snapshot(&self, snap: &StoreSnapshot) {
-        assert_eq!(self.shards.len(), snap.num_shards, "snapshot shard count mismatch");
-        assert_eq!(self.seal_threshold, snap.seal_threshold, "snapshot seal threshold mismatch");
+    /// match the checkpoint; a snapshot from a differently configured
+    /// store is refused with [`SnapshotError::Mismatch`] before anything
+    /// changes.  In-place restore keeps every `Arc<TimeSeriesStore>`
+    /// handle (gateway, self-collector, query engines) valid, so replay
+    /// seek swaps state without rebuilding the surrounding system.
+    pub fn load_snapshot(&self, snap: StoreSnapshot) -> Result<(), SnapshotError> {
+        self.check_fits(&snap)?;
         for shard in &self.shards {
             let mut shard = shard.write();
             shard.slots.clear();
@@ -924,7 +969,7 @@ impl TimeSeriesStore {
         let mut warm_points = 0u64;
         let mut warm_bytes = 0u64;
         let series_count = snap.series.len() as u64;
-        for s in &snap.series {
+        for s in snap.series {
             hot_points += s.hot.len() as u64;
             for b in &s.warm {
                 warm_points += b.count as u64;
@@ -932,11 +977,10 @@ impl TimeSeriesStore {
             }
             let mut shard = self.shard_of(&s.key).write();
             let slot = shard.slots.len() as u32;
-            shard.slots.push(SeriesSlot {
-                key: s.key,
-                data: SeriesData { warm: s.warm.clone(), hot: s.hot.clone() },
-            });
             shard.index.insert(s.key, slot);
+            shard
+                .slots
+                .push(SeriesSlot { key: s.key, data: SeriesData { warm: s.warm, hot: s.hot } });
         }
         // Every slot may have moved: cached routes are stale.
         self.bump_layout();
@@ -953,6 +997,7 @@ impl TimeSeriesStore {
         for (i, &f) in snap.write_faults.iter().enumerate() {
             self.set_shard_write_fault(i, f);
         }
+        Ok(())
     }
 
     /// Rebuild a store from a checkpoint: contents land in the same shards
@@ -961,7 +1006,7 @@ impl TimeSeriesStore {
     /// and epoch resume at their recorded values.
     pub fn restore(snap: StoreSnapshot) -> TimeSeriesStore {
         let store = TimeSeriesStore::with_options(snap.num_shards, snap.seal_threshold);
-        store.load_snapshot(&snap);
+        store.load_snapshot(snap).expect("a store built from the snapshot's own options fits it");
         store
     }
 }
@@ -987,6 +1032,254 @@ pub struct StoreSnapshot {
     corrupt_blocks: u64,
     epoch: u64,
     write_faults: Vec<bool>,
+}
+
+/// Why a binary store section failed to decode, or does not fit the store
+/// it is loaded into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The section ends before a field it declares (a length header
+    /// promises more bytes than remain).
+    Truncated,
+    /// A field holds a value the store never writes (named here).
+    Malformed(&'static str),
+    /// The snapshot comes from a differently configured store.
+    Mismatch {
+        /// Which setting differs.
+        what: &'static str,
+        /// This store's value.
+        expected: u64,
+        /// The snapshot's value.
+        found: u64,
+    },
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::Truncated => write!(f, "store section truncated"),
+            SnapshotError::Malformed(what) => write!(f, "store section malformed: {what}"),
+            SnapshotError::Mismatch { what, expected, found } => {
+                write!(f, "snapshot {what} {found} does not match the store's {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
+// Binary store section (DESIGN.md §15), all integers little-endian:
+//
+//   u64 num_shards, u64 seal_threshold,
+//   u64 samples_ingested, blocks_sealed, blocks_evicted, blocks_reloaded,
+//   u64 corrupt_blocks, u64 epoch,
+//   u32 n, n × u8 write-fault flags (n = num_shards),
+//   u64 series count, then per series in ascending key order:
+//     u32 metric, u8 component kind, u32 component index,
+//     u32 hot length h, h × u64 ts, h × u64 value bits,
+//     u32 warm block count, per block:
+//       u64 start, u64 end, u32 count, u32 len + ts_bytes, u32 len + val_bytes.
+
+/// Fixed header bytes before the write-fault flags and series.
+const SECTION_HEAD_LEN: usize = 8 * 8 + 4 + 8;
+/// Key plus the hot and warm length words: the least a series occupies.
+const SERIES_HEAD_LEN: usize = 4 + 1 + 4 + 4 + 4;
+/// One hot point: a timestamp and a value, 8 bytes each.
+const POINT_LEN: usize = 16;
+/// A warm block's fixed fields: start, end, count and two length words.
+const BLOCK_HEAD_LEN: usize = 8 + 8 + 4 + 4 + 4;
+
+impl StoreSnapshot {
+    /// Append this snapshot's binary checkpoint section to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_series(
+            self.series.len(),
+            self.series.iter().map(|s| (s.key, s.hot.as_slice(), s.warm.as_slice())),
+            out,
+        );
+    }
+
+    /// Write this snapshot's header fields, then `count` series records
+    /// (which must come in ascending key order) — the one writer behind
+    /// [`StoreSnapshot::encode`] and [`TimeSeriesStore::encode_snapshot`].
+    fn encode_series<'a>(
+        &self,
+        count: usize,
+        series: impl Iterator<Item = (SeriesKey, &'a [(Ts, f64)], &'a [SeriesBlock])>,
+        out: &mut Vec<u8>,
+    ) {
+        for v in [
+            self.num_shards as u64,
+            self.seal_threshold as u64,
+            self.counts.samples_ingested,
+            self.counts.blocks_sealed,
+            self.counts.blocks_evicted,
+            self.counts.blocks_reloaded,
+            self.corrupt_blocks,
+            self.epoch,
+        ] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.write_faults.len() as u32).to_le_bytes());
+        out.extend(self.write_faults.iter().map(|&f| f as u8));
+        out.extend_from_slice(&(count as u64).to_le_bytes());
+        for (key, hot, warm) in series {
+            out.extend_from_slice(&key.metric.0.to_le_bytes());
+            out.push(key.comp.kind as u8);
+            out.extend_from_slice(&key.comp.index.to_le_bytes());
+            out.extend_from_slice(&(hot.len() as u32).to_le_bytes());
+            for &(ts, _) in hot {
+                out.extend_from_slice(&ts.0.to_le_bytes());
+            }
+            for &(_, v) in hot {
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            out.extend_from_slice(&(warm.len() as u32).to_le_bytes());
+            for b in warm {
+                out.extend_from_slice(&b.start.0.to_le_bytes());
+                out.extend_from_slice(&b.end.0.to_le_bytes());
+                out.extend_from_slice(&b.count.to_le_bytes());
+                out.extend_from_slice(&(b.ts_bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(&b.ts_bytes);
+                out.extend_from_slice(&(b.val_bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(&b.val_bytes);
+            }
+        }
+    }
+
+    /// Decode a binary store section that spans all of `bytes`.
+    ///
+    /// Fails closed on damaged input and never panics: every length header
+    /// is checked against the bytes that remain before anything is
+    /// allocated, so the decoded value is at most a small constant times
+    /// the input's size.  Block payloads are copied verbatim, not
+    /// decompressed — a corrupt block is the query path's concern, as it
+    /// is for any other warm block.
+    pub fn decode(bytes: &[u8]) -> Result<StoreSnapshot, SnapshotError> {
+        let mut r = SectionReader { bytes };
+        let num_shards = r.usize()?;
+        let seal_threshold = r.usize()?;
+        if num_shards == 0 || seal_threshold == 0 {
+            return Err(SnapshotError::Malformed("zero shard count or seal threshold"));
+        }
+        let counts = StoreOpCounts {
+            samples_ingested: r.u64()?,
+            blocks_sealed: r.u64()?,
+            blocks_evicted: r.u64()?,
+            blocks_reloaded: r.u64()?,
+        };
+        let corrupt_blocks = r.u64()?;
+        let epoch = r.u64()?;
+        let n_faults = r.len(1)?;
+        if n_faults != num_shards {
+            return Err(SnapshotError::Malformed("write-fault flags per shard"));
+        }
+        let write_faults = r
+            .take(n_faults)?
+            .iter()
+            .map(|&b| match b {
+                0 | 1 => Ok(b == 1),
+                _ => Err(SnapshotError::Malformed("write-fault flag")),
+            })
+            .collect::<Result<Vec<bool>, _>>()?;
+        let n_series = usize::try_from(r.u64()?).map_err(|_| SnapshotError::Truncated)?;
+        if n_series > r.bytes.len() / SERIES_HEAD_LEN {
+            return Err(SnapshotError::Truncated);
+        }
+        let mut series: Vec<SeriesSnapshot> = Vec::with_capacity(n_series);
+        for _ in 0..n_series {
+            let key = r.key()?;
+            if series.last().is_some_and(|prev| prev.key >= key) {
+                return Err(SnapshotError::Malformed("series keys out of order"));
+            }
+            let h = r.len(POINT_LEN)?;
+            let (ts, vals) = r.take(h * POINT_LEN)?.split_at(h * 8);
+            let hot: Vec<(Ts, f64)> = ts
+                .chunks_exact(8)
+                .zip(vals.chunks_exact(8))
+                .map(|(t, v)| (Ts(le_u64(t)), f64::from_bits(le_u64(v))))
+                .collect();
+            if hot.windows(2).any(|w| w[0].0 > w[1].0) {
+                return Err(SnapshotError::Malformed("hot points out of order"));
+            }
+            let n_blocks = r.len(BLOCK_HEAD_LEN)?;
+            let mut warm = Vec::with_capacity(n_blocks);
+            for _ in 0..n_blocks {
+                let (start, end, count) = (Ts(r.u64()?), Ts(r.u64()?), r.u32()?);
+                if count == 0 || start > end {
+                    return Err(SnapshotError::Malformed("warm block header"));
+                }
+                let ts_len = r.len(1)?;
+                let ts_bytes = r.take(ts_len)?.to_vec();
+                let val_len = r.len(1)?;
+                let val_bytes = r.take(val_len)?.to_vec();
+                warm.push(SeriesBlock { key, start, end, count, ts_bytes, val_bytes });
+            }
+            series.push(SeriesSnapshot { key, hot, warm });
+        }
+        if !r.bytes.is_empty() {
+            return Err(SnapshotError::Malformed("trailing bytes"));
+        }
+        Ok(StoreSnapshot {
+            num_shards,
+            seal_threshold,
+            series,
+            counts,
+            corrupt_blocks,
+            epoch,
+            write_faults,
+        })
+    }
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+}
+
+/// A bounds-checked cursor over a store section.
+struct SectionReader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> SectionReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if n > self.bytes.len() {
+            return Err(SnapshotError::Truncated);
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(le_u64(self.take(8)?))
+    }
+
+    fn usize(&mut self) -> Result<usize, SnapshotError> {
+        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("size field"))
+    }
+
+    /// A `u32` count of items at least `unit` bytes each, refused unless
+    /// that many items can still fit in the remaining input.
+    fn len(&mut self, unit: usize) -> Result<usize, SnapshotError> {
+        let n = self.u32()? as usize;
+        if n > self.bytes.len() / unit {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
+    }
+
+    fn key(&mut self) -> Result<SeriesKey, SnapshotError> {
+        let metric = MetricId(self.u32()?);
+        let kind = CompKind::from_u8(self.take(1)?[0])
+            .ok_or(SnapshotError::Malformed("component kind"))?;
+        let index = self.u32()?;
+        Ok(SeriesKey::new(metric, CompId { kind, index }))
+    }
 }
 
 impl Default for TimeSeriesStore {
@@ -1493,8 +1786,7 @@ mod tests {
         store.drop_series_before(Ts(u64::MAX));
         assert!(store.layout_gen() > g0, "retention compaction moves slots");
         let g1 = store.layout_gen();
-        let snap = store.snapshot();
-        store.load_snapshot(&snap);
+        store.load_snapshot(store.snapshot()).unwrap();
         assert!(store.layout_gen() > g1, "snapshot load rebuilds slots");
     }
 
@@ -1615,6 +1907,179 @@ mod tests {
                     row.query(k, Ts::ZERO, Ts(u64::MAX)),
                     col.query(k, Ts::ZERO, Ts(u64::MAX))
                 );
+            }
+        }
+    }
+
+    // ---- binary checkpoint section ----
+
+    fn section(snap: &StoreSnapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        snap.encode(&mut out);
+        out
+    }
+
+    /// Heap bytes a decoded snapshot holds, by capacity.
+    fn footprint(snap: &StoreSnapshot) -> usize {
+        use std::mem::size_of;
+        snap.series.capacity() * size_of::<SeriesSnapshot>()
+            + snap.write_faults.capacity()
+            + snap
+                .series
+                .iter()
+                .map(|s| {
+                    s.hot.capacity() * size_of::<(Ts, f64)>()
+                        + s.warm.capacity() * size_of::<SeriesBlock>()
+                        + s.warm
+                            .iter()
+                            .map(|b| b.ts_bytes.capacity() + b.val_bytes.capacity())
+                            .sum::<usize>()
+                })
+                .sum::<usize>()
+    }
+
+    /// A store with every feature the section carries: sealed blocks and
+    /// hot tails built from out-of-order and duplicate-timestamp inserts,
+    /// arbitrary value bit patterns (NaN payloads included), series left
+    /// empty by eviction, a corrupt-block count and a shard write fault.
+    fn featureful_store(points: &[(u32, u32, u64, u64)], evict_before: u64) -> TimeSeriesStore {
+        let store = TimeSeriesStore::with_options(4, 8);
+        for &(m, n, t, bits) in points {
+            store.insert(&sample(m, n, t * 1_000, f64::from_bits(bits)));
+        }
+        let mut evicted = store.evict_warm_before(Ts(evict_before * 1_000));
+        if let Some(b) = evicted.first_mut() {
+            corrupt(b);
+            store.reload_blocks(vec![evicted.remove(0)]);
+        }
+        store.set_shard_write_fault(1, true);
+        store
+    }
+
+    #[test]
+    fn live_encode_matches_the_snapshot_encode() {
+        let pts: Vec<(u32, u32, u64, u64)> =
+            (0..300u64).map(|i| ((i % 3) as u32, (i % 5) as u32, i % 37, i * 977)).collect();
+        let store = featureful_store(&pts, 20);
+        let mut live = Vec::new();
+        store.encode_snapshot(&mut live);
+        assert_eq!(live, section(&store.snapshot()));
+    }
+
+    #[test]
+    fn section_refuses_to_load_into_a_differently_configured_store() {
+        let src = TimeSeriesStore::with_options(4, 8);
+        src.insert(&sample(0, 1, 1_000, 1.0));
+        let snap = StoreSnapshot::decode(&section(&src.snapshot())).unwrap();
+
+        let other_shards = TimeSeriesStore::with_options(2, 8);
+        other_shards.insert(&sample(3, 3, 1_000, 3.0));
+        let e0 = other_shards.epoch();
+        assert_eq!(
+            other_shards.load_snapshot(snap.clone()),
+            Err(SnapshotError::Mismatch { what: "shard count", expected: 2, found: 4 })
+        );
+        assert_eq!(other_shards.epoch(), e0, "a refused snapshot changes nothing");
+        assert_eq!(other_shards.all_series(), vec![key(3, 3)]);
+
+        let other_threshold = TimeSeriesStore::with_options(4, 16);
+        assert_eq!(
+            other_threshold.load_snapshot(snap.clone()),
+            Err(SnapshotError::Mismatch { what: "seal threshold", expected: 16, found: 8 })
+        );
+        assert!(other_threshold.all_series().is_empty());
+
+        let same = TimeSeriesStore::with_options(4, 8);
+        assert_eq!(same.load_snapshot(snap), Ok(()));
+        assert_eq!(same.all_series(), vec![key(0, 1)]);
+    }
+
+    #[test]
+    fn oversized_length_headers_fail_before_allocating() {
+        let store = TimeSeriesStore::with_options(2, 8);
+        store.insert(&sample(0, 1, 1_000, 1.0));
+        let bytes = section(&store.snapshot());
+        // The series count sits right after the header and fault flags.
+        let at = SECTION_HEAD_LEN - 8 + 2;
+        let mut huge = bytes.clone();
+        huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(StoreSnapshot::decode(&huge).err(), Some(SnapshotError::Truncated));
+        // The hot length of the one series: u32::MAX points over 16 bytes.
+        let mut hot = bytes.clone();
+        let h = at + 8 + 9;
+        hot[h..h + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(StoreSnapshot::decode(&hot).err(), Some(SnapshotError::Truncated));
+        assert!(StoreSnapshot::decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn every_prefix_and_bit_flip_of_a_section_fails_closed() {
+        let pts: Vec<(u32, u32, u64, u64)> =
+            (0..40u64).map(|i| ((i % 2) as u32, (i % 3) as u32, i % 11, i << 52)).collect();
+        let bytes = section(&featureful_store(&pts, 4).snapshot());
+        for cut in 0..bytes.len() {
+            assert!(StoreSnapshot::decode(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(snap) = StoreSnapshot::decode(&flipped) {
+                assert!(footprint(&snap) <= 4 * flipped.len(), "bit {bit}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_section_round_trip_reproduces_the_snapshot(
+            points in proptest::collection::vec(
+                (0u32..4, 0u32..6, 0u64..40, proptest::prelude::any::<u64>()),
+                0..200,
+            ),
+            evict_before in 0u64..45,
+        ) {
+            use proptest::prelude::*;
+            let store = featureful_store(&points, evict_before);
+            let bytes = section(&store.snapshot());
+            let mut live = Vec::new();
+            store.encode_snapshot(&mut live);
+            prop_assert_eq!(&live, &bytes);
+            let decoded = StoreSnapshot::decode(&bytes).expect("a fresh section decodes");
+            prop_assert!(footprint(&decoded) <= 4 * bytes.len());
+            let fresh = TimeSeriesStore::with_options(4, 8);
+            fresh.load_snapshot(decoded).expect("same configuration");
+            // Bytes compare values bit for bit (NaN payloads included).
+            prop_assert_eq!(section(&fresh.snapshot()), bytes);
+            prop_assert_eq!(fresh.stats(), store.stats());
+            prop_assert_eq!(fresh.occupancy(), store.occupancy());
+            prop_assert_eq!(fresh.op_counts(), store.op_counts());
+            prop_assert_eq!(fresh.epoch(), store.epoch());
+            prop_assert_eq!(fresh.state_digest(), store.state_digest());
+            prop_assert!(fresh.shard_write_faulted(1));
+        }
+
+        #[test]
+        fn prop_damaged_sections_fail_closed(
+            points in proptest::collection::vec(
+                (0u32..3, 0u32..4, 0u64..30, proptest::prelude::any::<u64>()),
+                0..80,
+            ),
+            cuts in proptest::collection::vec(0u64..1_000_000, 16..17),
+            flips in proptest::collection::vec(0u64..1_000_000, 16..17),
+        ) {
+            use proptest::prelude::*;
+            let bytes = section(&featureful_store(&points, 10).snapshot());
+            for &c in &cuts {
+                let cut = (c as usize) % bytes.len();
+                prop_assert!(StoreSnapshot::decode(&bytes[..cut]).is_err());
+            }
+            for &f in &flips {
+                let bit = (f as usize) % (bytes.len() * 8);
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(snap) = StoreSnapshot::decode(&flipped) {
+                    prop_assert!(footprint(&snap) <= 4 * flipped.len());
+                }
             }
         }
     }

@@ -12,17 +12,24 @@
 //! single-bit flips of the on-disk files.
 
 use hpcmon::health::{HealthConfig, Transition};
+use hpcmon::pipeline::DetectorAttachment;
 use hpcmon::system::durability::decode_tick_record;
-use hpcmon::{MonitoringSystem, SimConfig};
+use hpcmon::{
+    CheckpointError, CoreSnapshot, MonitoringSystem, RecoveryOutcome, SimConfig, CHECKPOINT_MAGIC,
+};
+use hpcmon_analysis::ZScoreDetector;
 use hpcmon_chaos::{ChaosFault, ChaosPlan, ScheduledFault};
+use hpcmon_collect::{Collector, StdMetrics};
 use hpcmon_durability::wal::{decode_checkpoint, scan_segment};
 use hpcmon_durability::{
     DurabilityConfig, DurabilityPlane, RecoveredState, ScanEnd, SimDisk, StorageMedium, SyncPolicy,
 };
-use hpcmon_metrics::Ts;
-use hpcmon_sim::{AppProfile, JobSpec};
+use hpcmon_metrics::{ColumnFrame, CompId, MetricRegistry, SeriesKey, Severity, Ts};
+use hpcmon_response::SignalKind;
+use hpcmon_sim::{AppProfile, JobSpec, SimEngine};
+use hpcmon_store::{SnapshotError, TimeSeriesStore};
 use proptest::prelude::*;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Once, OnceLock};
 
 /// Injected collector panics unwind through the supervisor's
 /// `catch_unwind`; keep the default hook from spamming test output with
@@ -514,5 +521,224 @@ proptest! {
         let byte = byte_sel % files[idx].1.len();
         files[idx].1[byte] ^= 1u8 << bit;
         recover_mutated(&files, idx);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Binary checkpoints (DESIGN.md §15): the health feed replay needs, the
+// codec's damage tolerance, and recovery's fail-closed handling of
+// checkpoints that do not fit the recovering system.
+// ---------------------------------------------------------------------------
+
+/// A crash with the health plane's `store/durability` SLO on.  Recovery
+/// replays with no durability plane attached, so each WAL record carries
+/// the SLO feed the run saw and replay feeds it back: every replayed tick
+/// verifies against its recorded hash.
+#[test]
+fn crash_recovery_with_the_durability_slo_verifies_every_tick() {
+    quiet_injected_panics();
+    let crash_tick = 21u64;
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 8, scrub_every: 4 };
+    let mk = || builder(0).chaos(7, lossless_plan()).health(HealthConfig::standard().durability());
+    let disk = Arc::new(SimDisk::new());
+    let mut durable = mk().durability(disk.clone(), cfg).build();
+    durable.set_state_hashing(true);
+    seed_inputs(&mut durable);
+    durable.run_ticks(crash_tick);
+    let crashed_hash = durable.last_state_hash().unwrap();
+    assert!(durable.durability_counts().unwrap().append_failures > 0, "the feed's bad side moved");
+    drop(durable);
+    disk.crash();
+
+    let mut recovered = mk().build();
+    recovered.set_state_hashing(true);
+    let outcome = recovered.recover_from_medium(disk, cfg);
+    assert_eq!(outcome.checkpoint_tick, Some(16));
+    assert_eq!(outcome.replayed_ticks, crash_tick - 16);
+    assert_eq!(outcome.resumed_tick, crash_tick);
+    assert_eq!(outcome.hash_mismatches, 0, "{outcome:?}");
+    assert_eq!(recovered.last_state_hash().unwrap(), crashed_hash);
+}
+
+/// A checkpoint of a short run of `mk`'s system, straight off the codec.
+fn checkpoint_of(mk: impl Fn() -> hpcmon::system::MonitorBuilder) -> Vec<u8> {
+    let mut mon = mk().build();
+    seed_inputs(&mut mon);
+    mon.run_ticks(5);
+    mon.encode_checkpoint()
+}
+
+/// Recover `mon` from a medium holding `checkpoint` (as tick 5) and no WAL.
+fn recover_from_checkpoint(mon: &mut MonitoringSystem, checkpoint: &[u8]) -> RecoveryOutcome {
+    let cfg = DurabilityConfig { sync: SyncPolicy::EveryTick, checkpoint_every: 0, scrub_every: 0 };
+    let disk = Arc::new(SimDisk::new());
+    DurabilityPlane::new(disk.clone(), cfg).checkpoint(5, checkpoint).unwrap();
+    mon.recover_from_medium(disk, cfg)
+}
+
+/// Recovery from a checkpoint that does not restore into `mk`'s system
+/// must fail closed: report it undecodable and resume fresh, untouched.
+fn assert_resumes_fresh(mk: impl Fn() -> hpcmon::system::MonitorBuilder, checkpoint: &[u8]) {
+    let mut mon = mk().build();
+    let outcome = recover_from_checkpoint(&mut mon, checkpoint);
+    assert!(outcome.checkpoint_undecodable, "{outcome:?}");
+    assert_eq!(outcome.checkpoint_tick, None);
+    assert_eq!(outcome.resumed_tick, 0);
+    assert_eq!(state_json(&mon), state_json(&mk().build()), "a refused checkpoint changes nothing");
+}
+
+/// `checkpoint` with its store section swapped for `store`'s.
+fn with_store_section(checkpoint: &[u8], store: &TimeSeriesStore) -> Vec<u8> {
+    let head_len = u64::from_le_bytes(checkpoint[12..20].try_into().unwrap()) as usize;
+    let mut out = checkpoint[..20 + head_len].to_vec();
+    store.encode_snapshot(&mut out);
+    out
+}
+
+#[test]
+fn checkpoint_codec_round_trips_and_restores_exactly() {
+    let mut mon = builder(0).chaos(7, lossless_plan()).build();
+    seed_inputs(&mut mon);
+    mon.run_ticks(12);
+    let bytes = mon.encode_checkpoint();
+    assert_eq!(bytes[..8], CHECKPOINT_MAGIC);
+    assert_eq!(mon.snapshot().encode(), bytes, "live and cloned encodes agree");
+    let decoded = CoreSnapshot::decode(&bytes).expect("decodes");
+    assert_eq!(decoded.tick(), 12);
+    assert_eq!(decoded.encode(), bytes);
+    let mut twin = builder(0).chaos(7, lossless_plan()).build();
+    twin.try_restore_snapshot(decoded).expect("same configuration");
+    assert_eq!(state_json(&twin), state_json(&mon));
+
+    let mut recovered = builder(0).chaos(7, lossless_plan()).build();
+    let outcome = recover_from_checkpoint(&mut recovered, &bytes);
+    assert!(!outcome.checkpoint_undecodable);
+    assert_eq!(state_json(&recovered), state_json(&mon));
+}
+
+#[test]
+fn checkpoint_from_a_store_with_another_shard_count_resumes_fresh() {
+    let bytes = checkpoint_of(|| builder(0));
+    let other = with_store_section(&bytes, &TimeSeriesStore::with_options(8, 512));
+    let err = builder(0).build().try_restore_snapshot(CoreSnapshot::decode(&other).unwrap());
+    assert_eq!(
+        err,
+        Err(CheckpointError::Store(SnapshotError::Mismatch {
+            what: "shard count",
+            expected: 16,
+            found: 8
+        }))
+    );
+    assert_resumes_fresh(|| builder(0), &other);
+}
+
+#[test]
+fn checkpoint_from_a_store_with_another_seal_threshold_resumes_fresh() {
+    let bytes = checkpoint_of(|| builder(0));
+    let other = with_store_section(&bytes, &TimeSeriesStore::with_options(16, 64));
+    let err = builder(0).build().try_restore_snapshot(CoreSnapshot::decode(&other).unwrap());
+    assert_eq!(
+        err,
+        Err(CheckpointError::Store(SnapshotError::Mismatch {
+            what: "seal threshold",
+            expected: 512,
+            found: 64
+        }))
+    );
+    assert_resumes_fresh(|| builder(0), &other);
+}
+
+/// A collector that never reports: it only changes the collector count.
+struct Idle;
+
+impl Collector for Idle {
+    fn name(&self) -> &str {
+        "idle"
+    }
+
+    fn collect(&mut self, _engine: &SimEngine, _frame: &mut ColumnFrame) {}
+}
+
+#[test]
+fn checkpoint_from_a_system_with_other_collectors_resumes_fresh() {
+    let bytes = checkpoint_of(|| builder(0));
+    let mk = || builder(0).install_collector(Box::new(Idle));
+    let err = mk().build().try_restore_snapshot(CoreSnapshot::decode(&bytes).unwrap());
+    assert!(matches!(err, Err(CheckpointError::Mismatch { what: "collectors", .. })), "{err:?}");
+    assert_resumes_fresh(mk, &bytes);
+}
+
+#[test]
+fn checkpoint_from_a_system_with_other_detectors_resumes_fresh() {
+    let bytes = checkpoint_of(|| builder(0));
+    let mk = || {
+        builder(0).attach_detector(DetectorAttachment::new(
+            SeriesKey::new(
+                StdMetrics::register(&MetricRegistry::new()).node_power,
+                CompId::node(0),
+            ),
+            Box::new(ZScoreDetector::new(16, 6.0)),
+            SignalKind::MetricAnomaly,
+            Severity::Error,
+            "node power anomaly",
+        ))
+    };
+    let err = mk().build().try_restore_snapshot(CoreSnapshot::decode(&bytes).unwrap());
+    assert_eq!(err, Err(CheckpointError::Mismatch { what: "detectors", expected: 1, found: 0 }));
+    assert_resumes_fresh(mk, &bytes);
+}
+
+/// Checkpoints written as JSON by older builds are not read: recovery
+/// reports them undecodable and resumes fresh.
+#[test]
+fn legacy_json_checkpoint_is_reported_undecodable() {
+    let mut mon = builder(0).build();
+    seed_inputs(&mut mon);
+    mon.run_ticks(5);
+    let json = serde_json::to_vec(&mon.snapshot()).unwrap();
+    assert_eq!(CoreSnapshot::decode(&json).err(), Some(CheckpointError::BadMagic));
+    assert_resumes_fresh(|| builder(0), &json);
+}
+
+/// One small checkpoint, shared by the damage properties below.
+fn sample_checkpoint() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut mon = builder(0).build();
+        seed_inputs(&mut mon);
+        mon.run_ticks(3);
+        mon.encode_checkpoint()
+    })
+}
+
+/// Every truncation prefix through the fixed prefix and across the
+/// head/section boundary is refused, and so is an even spread of cuts
+/// through the store section (the store's own tests cut it at every byte;
+/// each cut here re-parses the whole JSON head).
+#[test]
+fn checkpoint_prefixes_fail_closed() {
+    let bytes = sample_checkpoint();
+    let section = 20 + u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let step = ((bytes.len() - section) / 128).max(1);
+    let cuts =
+        (0..64).chain(section - 64..section + 64).chain((section..bytes.len()).step_by(step));
+    for cut in cuts {
+        assert!(CoreSnapshot::decode(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any truncation or single-bit flip of an encoded checkpoint decodes
+    /// to an error or a value, never a panic; a truncation never decodes.
+    #[test]
+    fn damaged_checkpoints_fail_closed(cut_sel in 0usize..1 << 40, bit_sel in 0usize..1 << 40) {
+        let bytes = sample_checkpoint();
+        prop_assert!(CoreSnapshot::decode(&bytes[..cut_sel % bytes.len()]).is_err());
+        let mut flipped = bytes.to_vec();
+        let bit = bit_sel % (bytes.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = CoreSnapshot::decode(&flipped);
     }
 }
