@@ -213,8 +213,10 @@ struct CoreHead {
 /// First eight bytes of every binary checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HPCMCKPT";
 
-/// The checkpoint layout version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// The checkpoint layout version this build writes and reads.  Version 2
+/// carries hot tails as compressed open blocks; version 1 carried them as
+/// raw columns and is refused, not migrated.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Magic, version and head length: the fixed checkpoint prefix.
 const CHECKPOINT_PREFIX_LEN: usize = 8 + 4 + 8;

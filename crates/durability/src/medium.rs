@@ -30,6 +30,9 @@ pub enum DiskError {
     Full,
     /// No such file.
     NotFound,
+    /// A frame longer than its length field can describe; refused before
+    /// it reaches the medium.
+    FrameTooLarge,
 }
 
 impl std::fmt::Display for DiskError {
@@ -38,6 +41,7 @@ impl std::fmt::Display for DiskError {
             DiskError::WriteFail => write!(f, "write failed (EIO)"),
             DiskError::Full => write!(f, "medium full (ENOSPC)"),
             DiskError::NotFound => write!(f, "no such file"),
+            DiskError::FrameTooLarge => write!(f, "frame too large for its length field"),
         }
     }
 }

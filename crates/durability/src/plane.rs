@@ -192,8 +192,12 @@ impl DurabilityPlane {
         ckpts.sort();
         let mut checkpoint: Option<(u64, Vec<u8>)> = None;
         for (tick, name) in ckpts.iter().rev() {
-            match medium.read(name).ok().and_then(|b| decode_checkpoint(&b)) {
-                Some(payload) => {
+            let bytes = medium.read(name).unwrap_or_default();
+            match decode_checkpoint(&bytes).map(<[u8]>::len) {
+                Some(len) => {
+                    // The payload is the file's tail: keep it in place.
+                    let mut payload = bytes;
+                    payload.drain(..payload.len() - len);
                     checkpoint = Some((*tick, payload));
                     break;
                 }
@@ -286,7 +290,8 @@ impl DurabilityPlane {
                     // damage is physically gone, not just skipped.
                     let mut rebuilt = WAL_MAGIC.to_vec();
                     for r in &recs[..trusted] {
-                        encode_record(r.tick, &r.payload, &mut rebuilt);
+                        // Scanned records are within the length bound.
+                        let _ = encode_record(r.tick, &r.payload, &mut rebuilt);
                     }
                     let _ = medium.overwrite(name, &rebuilt);
                     live_seg = Some(name.clone());
@@ -334,10 +339,16 @@ impl DurabilityPlane {
 
     /// Queue and (best-effort) write the record for `tick`.  A refused
     /// write is counted and retried next tick — lossless unless the
-    /// process crashes while the backlog is non-empty.
+    /// process crashes while the backlog is non-empty.  A payload over
+    /// [`MAX_RECORD_LEN`](crate::wal::MAX_RECORD_LEN) can never be written:
+    /// it is counted as an append failure and dropped, and recovery
+    /// reports the missing tick as a gap.
     pub fn append_tick(&mut self, tick: u64, payload: &[u8]) {
         self.scratch.clear();
-        encode_record(tick, payload, &mut self.scratch);
+        if encode_record(tick, payload, &mut self.scratch).is_err() {
+            self.counts.append_failures += 1;
+            return;
+        }
         // Fast path: nothing queued, so the record can go straight from
         // the reused scratch buffer to the medium without ever being
         // allocated per tick.  It only enters the backlog (taking the
@@ -413,13 +424,14 @@ impl DurabilityPlane {
     /// Write a checkpoint of `snapshot` at `tick` (temp file + atomic
     /// rename), rotate to a fresh segment, and apply retention: keep the
     /// two newest checkpoints and every segment either may still need.
+    /// A snapshot too long for the checkpoint frame is refused
+    /// ([`DiskError::FrameTooLarge`]) and counted like a refused write.
     pub fn checkpoint(&mut self, tick: u64, snapshot: &[u8]) -> Result<(), DiskError> {
         let name = ckpt_name(tick);
         let tmp = format!("{name}.tmp");
-        let encoded = encode_checkpoint(snapshot);
-        if let Err(e) =
+        if let Err(e) = encode_checkpoint(snapshot).and_then(|encoded| {
             self.medium.overwrite(&tmp, &encoded).and_then(|()| self.medium.rename(&tmp, &name))
-        {
+        }) {
             self.counts.checkpoint_failures += 1;
             return Err(e);
         }
@@ -678,6 +690,21 @@ mod tests {
         let (_plane, state) = DurabilityPlane::recover(disk, cfg(SyncPolicy::EveryTick));
         assert_eq!(state.report.last_tick, Some(7));
         assert_eq!(state.records.len(), 8, "the fault window lost nothing");
+    }
+
+    #[test]
+    fn oversized_record_is_refused_and_counted_not_queued() {
+        let disk = Arc::new(SimDisk::new());
+        let mut plane = DurabilityPlane::new(disk.clone(), cfg(SyncPolicy::EveryTick));
+        run_ticks(&mut plane, 0..2);
+        // Zero-filled on demand and never read: no memory is touched.
+        let big = vec![0u8; crate::wal::MAX_RECORD_LEN as usize + 1];
+        plane.append_tick(2, &big);
+        assert_eq!(plane.counts().append_failures, 1);
+        assert_eq!(plane.backlog_len(), 0, "a record that can never fit is not retried");
+        assert_eq!(plane.counts().records_appended, 2);
+        run_ticks(&mut plane, 3..4);
+        assert_eq!(plane.counts().records_appended, 3);
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //! trust a gigabyte of garbage.
 //!
 //! A checkpoint file is `HPCMCKP1` + `[len u32][crc u32][payload]` with
-//! the CRC over the payload alone.
+//! the CRC over the payload alone.  Both encoders refuse a payload their
+//! length field cannot carry (over `MAX_RECORD_LEN` for a record, over
+//! `u32::MAX` for a checkpoint) instead of writing a frame that recovery
+//! would read as damage.
+//!
+//! The checkpoint payload is opaque here.  The monitoring core writes its
+//! binary checkpoint (version 2): a JSON head, then the store section,
+//! where every series' hot tail is an open block in the store's own
+//! codec (delta-of-delta timestamps, Gorilla values) next to its sealed
+//! warm blocks.  Decoding copies both verbatim, still compressed, so a
+//! decoded checkpoint holds at most 4× its size in memory.
 
 use crate::crc::{crc32, crc32_finish, crc32_update, CRC_INIT};
+use crate::medium::DiskError;
 use serde::{Deserialize, Serialize};
 
 /// Magic prefix of every WAL segment file.
@@ -74,9 +85,19 @@ pub struct WalRecord {
     pub payload: Vec<u8>,
 }
 
-/// Encode one record (header + CRC + payload) into `out`.
-pub fn encode_record(tick: u64, payload: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(payload.len() as u64 <= MAX_RECORD_LEN as u64);
+/// Whether a record payload of `len` bytes is within [`MAX_RECORD_LEN`].
+pub(crate) fn record_fits(len: usize) -> bool {
+    len as u64 <= MAX_RECORD_LEN as u64
+}
+
+/// Encode one record (header + CRC + payload) into `out`.  A payload over
+/// [`MAX_RECORD_LEN`] is refused with [`DiskError::FrameTooLarge`] and
+/// nothing is written: the scanner would read it as damage and drop every
+/// record behind it.
+pub fn encode_record(tick: u64, payload: &[u8], out: &mut Vec<u8>) -> Result<(), DiskError> {
+    if !record_fits(payload.len()) {
+        return Err(DiskError::FrameTooLarge);
+    }
     let start = out.len();
     out.push(KIND_TICK);
     out.extend_from_slice(&tick.to_le_bytes());
@@ -87,6 +108,7 @@ pub fn encode_record(tick: u64, payload: &[u8], out: &mut Vec<u8>) {
     // streamed so the payload is never copied just to be checksummed.
     let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, &out[start..start + 13]), payload));
     out[start + 13..start + 17].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// How a segment scan ended.
@@ -184,19 +206,30 @@ fn validate_record(rest: &[u8]) -> (bool, usize) {
     (crc == stored_crc, total)
 }
 
-/// Encode a checkpoint file: magic + len + crc + payload.
-pub fn encode_checkpoint(payload: &[u8]) -> Vec<u8> {
+/// Whether a checkpoint payload of `len` bytes fits the file's `u32`
+/// length field.
+pub(crate) fn checkpoint_fits(len: usize) -> bool {
+    u32::try_from(len).is_ok()
+}
+
+/// Encode a checkpoint file: magic + len + crc + payload.  A payload too
+/// long for the length field is refused with [`DiskError::FrameTooLarge`]
+/// rather than written with a wrapped length no recovery could read.
+pub fn encode_checkpoint(payload: &[u8]) -> Result<Vec<u8>, DiskError> {
+    if !checkpoint_fits(payload.len()) {
+        return Err(DiskError::FrameTooLarge);
+    }
     let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 8 + payload.len());
     out.extend_from_slice(CKPT_MAGIC);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+    Ok(out)
 }
 
-/// Decode a checkpoint file, returning the payload iff magic, length and
-/// CRC all check out.
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<Vec<u8>> {
+/// Check a checkpoint file, returning its payload (borrowed, not copied)
+/// iff magic, length and CRC all check out.
+pub fn decode_checkpoint(bytes: &[u8]) -> Option<&[u8]> {
     let head = CKPT_MAGIC.len() + 8;
     if bytes.len() < head || &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
         return None;
@@ -210,7 +243,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Vec<u8>> {
     if crc32(payload) != crc {
         return None;
     }
-    Some(payload.to_vec())
+    Some(payload)
 }
 
 #[cfg(test)]
@@ -220,7 +253,7 @@ mod tests {
     fn segment(records: &[(u64, &[u8])]) -> Vec<u8> {
         let mut out = WAL_MAGIC.to_vec();
         for (tick, payload) in records {
-            encode_record(*tick, payload, &mut out);
+            encode_record(*tick, payload, &mut out).unwrap();
         }
         out
     }
@@ -311,8 +344,8 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_and_rejection() {
-        let enc = encode_checkpoint(b"snapshot bytes");
-        assert_eq!(decode_checkpoint(&enc).as_deref(), Some(&b"snapshot bytes"[..]));
+        let enc = encode_checkpoint(b"snapshot bytes").unwrap();
+        assert_eq!(decode_checkpoint(&enc), Some(&b"snapshot bytes"[..]));
         for end in 0..enc.len() {
             assert_eq!(decode_checkpoint(&enc[..end]), None, "truncation at {end} accepted");
         }
@@ -322,6 +355,20 @@ mod tests {
             assert_eq!(decode_checkpoint(&bad), None, "flip at {i} accepted");
             bad[i] ^= 0x10;
         }
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_at_write_time() {
+        assert!(record_fits(MAX_RECORD_LEN as usize));
+        assert!(!record_fits(MAX_RECORD_LEN as usize + 1));
+        assert!(checkpoint_fits(u32::MAX as usize));
+        assert!(!checkpoint_fits(u32::MAX as usize + 1));
+        // A refused record leaves the buffer untouched.  The payload is
+        // zero-filled on demand and never read, so it costs no memory.
+        let big = vec![0u8; MAX_RECORD_LEN as usize + 1];
+        let mut out = b"kept".to_vec();
+        assert_eq!(encode_record(3, &big, &mut out), Err(DiskError::FrameTooLarge));
+        assert_eq!(out, b"kept");
     }
 
     #[test]

@@ -184,23 +184,26 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Compress a monotone-nondecreasing timestamp sequence.
 pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ts.len() + 8);
-    write_varint(&mut out, ts.len() as u64);
-    if ts.is_empty() {
-        return out;
-    }
-    write_varint(&mut out, ts[0].0);
-    if ts.len() == 1 {
-        return out;
-    }
-    let first_delta = ts[1].0 as i64 - ts[0].0 as i64;
-    write_varint(&mut out, zigzag(first_delta));
-    let mut prev_delta = first_delta;
-    for w in ts.windows(2).skip(1) {
-        let delta = w[1].0 as i64 - w[0].0 as i64;
-        write_varint(&mut out, zigzag(delta - prev_delta));
-        prev_delta = delta;
-    }
+    write_timestamps(ts.iter().copied(), &mut out);
     out
+}
+
+/// Append the [`compress_timestamps`] stream of `ts` to `out`, with no
+/// staging buffer.
+pub(crate) fn write_timestamps(mut ts: impl ExactSizeIterator<Item = Ts>, out: &mut Vec<u8>) {
+    write_varint(out, ts.len() as u64);
+    let Some(first) = ts.next() else { return };
+    write_varint(out, first.0);
+    let Some(second) = ts.next() else { return };
+    let mut prev_delta = second.0 as i64 - first.0 as i64;
+    write_varint(out, zigzag(prev_delta));
+    let mut prev = second.0 as i64;
+    for t in ts {
+        let delta = t.0 as i64 - prev;
+        write_varint(out, zigzag(delta - prev_delta));
+        prev_delta = delta;
+        prev = t.0 as i64;
+    }
 }
 
 /// Decompress timestamps written by [`compress_timestamps`].
@@ -209,6 +212,14 @@ pub fn compress_timestamps(ts: &[Ts]) -> Vec<u8> {
 /// that goes negative: a corrupt or adversarial block must surface as an
 /// error, never silently round-trip to *different* data.
 pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
+    let mut out = Vec::new();
+    decompress_timestamps_into(bytes, &mut out)?;
+    Some(out)
+}
+
+/// [`decompress_timestamps`] into `out`, which is cleared first, so one
+/// buffer can serve many streams.  On `None`, `out` holds garbage.
+pub(crate) fn decompress_timestamps_into(bytes: &[u8], out: &mut Vec<Ts>) -> Option<()> {
     let mut pos = 0usize;
     let n = read_varint(bytes, &mut pos)? as usize;
     // The length header is attacker/corruption-controlled: never trust it
@@ -217,14 +228,15 @@ pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
     if n > bytes.len() - pos {
         return None;
     }
-    let mut out = Vec::with_capacity(n);
+    out.clear();
+    out.reserve_exact(n);
     if n == 0 {
-        return Some(out);
+        return Some(());
     }
     let first = read_varint(bytes, &mut pos)?;
     out.push(Ts(first));
     if n == 1 {
-        return Some(out);
+        return Some(());
     }
     let mut delta = unzigzag(read_varint(bytes, &mut pos)?);
     let mut cur = i64::try_from(first).ok()?.checked_add(delta)?;
@@ -241,43 +253,58 @@ pub fn decompress_timestamps(bytes: &[u8]) -> Option<Vec<Ts>> {
         }
         out.push(Ts(cur as u64));
     }
-    Some(out)
+    Some(())
+}
+
+/// The point count a [`compress_timestamps`] or [`compress_values`]
+/// stream declares in its header, read without decoding the stream.
+pub(crate) fn declared_points(bytes: &[u8]) -> Option<u64> {
+    read_varint(bytes, &mut 0)
 }
 
 // ----- values: Gorilla XOR -----
 
 /// Compress a float sequence with the Gorilla XOR scheme.
 pub fn compress_values(values: &[f64]) -> Vec<u8> {
-    let mut header = Vec::new();
-    write_varint(&mut header, values.len() as u64);
-    if values.is_empty() {
-        return header;
-    }
-    let mut w = BitWriter::new();
-    w.write_bits(values[0].to_bits(), 64);
-    let mut prev = values[0].to_bits();
+    let mut out = Vec::new();
+    write_values(values.iter().copied(), &mut out);
+    out
+}
+
+/// Append the [`compress_values`] stream of `values` to `out`, with no
+/// staging buffer.
+pub(crate) fn write_values(mut values: impl ExactSizeIterator<Item = f64>, out: &mut Vec<u8>) {
+    write_varint(out, values.len() as u64);
+    let Some(first) = values.next() else { return };
+    // The bit stream continues `out` in place: the writer only ever
+    // appends whole bytes, so it can own the vector while it writes.
+    let mut w = BitWriter { bytes: std::mem::take(out), acc: 0, pending: 0 };
+    w.write_bits(first.to_bits(), 64);
+    let mut prev = first.to_bits();
     let mut prev_leading: u8 = 65; // sentinel: no previous window
     let mut prev_trailing: u8 = 0;
-    for &v in &values[1..] {
+    for v in values {
         let bits = v.to_bits();
         let xor = bits ^ prev;
+        // Each case writes its control bits (and a new window's header)
+        // as one field, then the meaningful bits.
         if xor == 0 {
-            w.write_bit(false);
+            // Same value: control bit 0.
+            w.write_bits(0, 1);
         } else {
-            w.write_bit(true);
             let leading = (xor.leading_zeros() as u8).min(31);
             let trailing = xor.trailing_zeros() as u8;
             if prev_leading <= 64 && leading >= prev_leading && trailing >= prev_trailing {
-                // Fits the previous window: control bit 0, meaningful bits.
-                w.write_bit(false);
+                // Fits the previous window: control bits 10, meaningful bits.
                 let meaningful = 64 - prev_leading - prev_trailing;
+                w.write_bits(0b10, 2);
                 w.write_bits(xor >> prev_trailing, meaningful);
             } else {
-                // New window: control bit 1, 5 bits leading, 6 bits length.
-                w.write_bit(true);
+                // New window: control bits 11, 5 bits leading, 6 bits
+                // length (64 wraps to 0), meaningful bits.
                 let meaningful = 64 - leading - trailing;
-                w.write_bits(leading as u64, 5);
-                w.write_bits(meaningful as u64, 6);
+                let head = (0b11 << 11) | (leading as u64) << 6 | (meaningful as u64 & 0x3F);
+                w.write_bits(head, 13);
                 w.write_bits(xor >> trailing, meaningful);
                 prev_leading = leading;
                 prev_trailing = trailing;
@@ -285,12 +312,19 @@ pub fn compress_values(values: &[f64]) -> Vec<u8> {
         }
         prev = bits;
     }
-    header.extend_from_slice(&w.finish());
-    header
+    *out = w.finish();
 }
 
 /// Decompress floats written by [`compress_values`].
 pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
+    let mut out = Vec::new();
+    decompress_values_into(bytes, &mut out)?;
+    Some(out)
+}
+
+/// [`decompress_values`] into `out`, which is cleared first, so one buffer
+/// can serve many streams.  On `None`, `out` holds garbage.
+pub(crate) fn decompress_values_into(bytes: &[u8], out: &mut Vec<f64>) -> Option<()> {
     let mut pos = 0usize;
     let n = read_varint(bytes, &mut pos)? as usize;
     // Bound the corruption-controlled length by the bit budget actually
@@ -298,9 +332,10 @@ pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
     if n > 0 && 64usize.saturating_add(n - 1) > (bytes.len() - pos).saturating_mul(8) {
         return None;
     }
-    let mut out = Vec::with_capacity(n);
+    out.clear();
+    out.reserve_exact(n);
     if n == 0 {
-        return Some(out);
+        return Some(());
     }
     let mut r = BitReader::new(&bytes[pos..]);
     let mut prev = r.read_bits(64)?;
@@ -320,14 +355,16 @@ pub fn decompress_values(bytes: &[u8]) -> Option<Vec<f64>> {
                 meaningful = 64;
             }
         }
-        // A corrupt window header can claim more than 64 bits.
+        // A corrupt window header can claim more than 64 bits, and a
+        // corrupt stream can reuse a window before opening one (a 64-bit
+        // shift): both are malformed.
         let trailing = 64u8.checked_sub(leading + meaningful)?;
-        let xor = r.read_bits(meaningful)? << trailing;
+        let xor = r.read_bits(meaningful)?.checked_shl(trailing as u32)?;
         let bits = prev ^ xor;
         out.push(f64::from_bits(bits));
         prev = bits;
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]
@@ -373,6 +410,42 @@ mod tests {
             pub fn finish(self) -> Vec<u8> {
                 self.bytes
             }
+        }
+
+        /// The original Gorilla writer: one `write_bit` per control bit.
+        pub fn compress_values(values: &[f64]) -> Vec<u8> {
+            let mut out = Vec::new();
+            super::write_varint(&mut out, values.len() as u64);
+            let Some((first, rest)) = values.split_first() else { return out };
+            let mut w = BitWriter::default();
+            w.write_bits(first.to_bits(), 64);
+            let mut prev = first.to_bits();
+            let (mut prev_leading, mut prev_trailing) = (65u8, 0u8);
+            for &v in rest {
+                let xor = v.to_bits() ^ prev;
+                if xor == 0 {
+                    w.write_bit(false);
+                } else {
+                    w.write_bit(true);
+                    let leading = (xor.leading_zeros() as u8).min(31);
+                    let trailing = xor.trailing_zeros() as u8;
+                    if prev_leading <= 64 && leading >= prev_leading && trailing >= prev_trailing {
+                        w.write_bit(false);
+                        w.write_bits(xor >> prev_trailing, 64 - prev_leading - prev_trailing);
+                    } else {
+                        w.write_bit(true);
+                        let meaningful = 64 - leading - trailing;
+                        w.write_bits(leading as u64, 5);
+                        w.write_bits(meaningful as u64, 6);
+                        w.write_bits(xor >> trailing, meaningful);
+                        prev_leading = leading;
+                        prev_trailing = trailing;
+                    }
+                }
+                prev = v.to_bits();
+            }
+            out.extend_from_slice(&w.finish());
+            out
         }
 
         pub struct BitReader<'a> {
@@ -550,6 +623,32 @@ mod tests {
     }
 
     #[test]
+    fn reusing_a_window_before_opening_one_is_malformed() {
+        // The first value, then control bits `10` ("same window as
+        // before") although no window was ever opened: a 64-bit shift.
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, 2);
+        let mut w = BitWriter::new();
+        w.write_bits(1.5f64.to_bits(), 64);
+        w.write_bits(0b10, 2);
+        bytes.extend_from_slice(&w.finish());
+        assert_eq!(decompress_values(&bytes), None);
+    }
+
+    #[test]
+    fn writers_append_after_existing_bytes() {
+        let ts: Vec<Ts> = (0..50).map(|i| Ts(1_000 + i * 60_000)).collect();
+        let vals: Vec<f64> = (0..50).map(|i| 200.0 + i as f64 * 0.25).collect();
+        let mut out = b"prefix".to_vec();
+        write_timestamps(ts.iter().copied(), &mut out);
+        let ts_end = out.len();
+        write_values(vals.iter().copied(), &mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(out[6..ts_end], compress_timestamps(&ts)[..]);
+        assert_eq!(out[ts_end..], compress_values(&vals)[..]);
+    }
+
+    #[test]
     fn truncated_input_returns_none() {
         let ts: Vec<Ts> = (0..100).map(Ts::from_secs).collect();
         let bytes = compress_timestamps(&ts);
@@ -660,6 +759,25 @@ mod tests {
                 prop_assert_eq!(r.read_bits(n), o.read_bits(n));
                 prop_assert_eq!(r.read_bit(), o.read_bit());
             }
+        }
+
+        #[test]
+        fn prop_value_writer_matches_the_oracle(
+            bits in proptest::collection::vec(any::<u64>(), 0..200),
+            steps in proptest::collection::vec(-64i32..64, 0..200),
+            jitter in proptest::collection::vec(0u64..1 << 24, 0..200),
+        ) {
+            // Arbitrary patterns open wide windows; small steps on a gauge
+            // reuse them; low-bit jitter has XORs with more leading zeros
+            // than the 5-bit field holds.  All must encode exactly as the
+            // original writer.
+            let vals: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            prop_assert_eq!(compress_values(&vals), oracle::compress_values(&vals));
+            let gauge: Vec<f64> =
+                steps.iter().scan(200.0, |g, &s| { *g += s as f64 * 0.125; Some(*g) }).collect();
+            prop_assert_eq!(compress_values(&gauge), oracle::compress_values(&gauge));
+            let noisy: Vec<f64> = jitter.iter().map(|&j| f64::from_bits(200f64.to_bits() ^ j)).collect();
+            prop_assert_eq!(compress_values(&noisy), oracle::compress_values(&noisy));
         }
 
         #[test]

@@ -35,6 +35,6 @@ pub use logstore::{LogQuery, LogStore};
 pub use query::{AggFn, InvalidParam, JobSeries, QueryEngine, TimeRange};
 pub use retention::{RetentionPolicy, RetentionReport};
 pub use tsdb::{
-    BlockError, IngestRoute, SeriesBlock, SeriesSnapshot, SnapshotError, StoreOpCounts,
+    BlockError, IngestRoute, OpenBlock, SeriesBlock, SeriesSnapshot, SnapshotError, StoreOpCounts,
     StoreSnapshot, StoreStats, TimeSeriesStore, WriteError,
 };

@@ -88,15 +88,14 @@ impl SeriesBlock {
     pub fn compress(key: SeriesKey, points: &[(Ts, f64)]) -> SeriesBlock {
         assert!(!points.is_empty(), "cannot seal an empty block");
         debug_assert!(points.windows(2).all(|w| w[0].0 <= w[1].0), "points must be ordered");
-        let ts: Vec<Ts> = points.iter().map(|p| p.0).collect();
-        let vals: Vec<f64> = points.iter().map(|p| p.1).collect();
+        let OpenBlock { ts_bytes, val_bytes } = OpenBlock::compress(points);
         SeriesBlock {
             key,
-            start: ts[0],
-            end: *ts.last().expect("non-empty"),
+            start: points[0].0,
+            end: points[points.len() - 1].0,
             count: points.len() as u32,
-            ts_bytes: compress::compress_timestamps(&ts),
-            val_bytes: compress::compress_values(&vals),
+            ts_bytes,
+            val_bytes,
         }
     }
 
@@ -888,7 +887,7 @@ impl TimeSeriesStore {
             for slot in &shard.slots {
                 series.push(SeriesSnapshot {
                     key: slot.key,
-                    hot: slot.data.hot.clone(),
+                    hot: OpenBlock::compress(&slot.data.hot),
                     warm: slot.data.warm.clone(),
                 });
             }
@@ -921,14 +920,16 @@ impl TimeSeriesStore {
         let occ = self.occupancy();
         out.reserve(
             SECTION_HEAD_LEN
-                + slots.len() * (SERIES_HEAD_LEN + 8)
-                + occ.hot_points * POINT_LEN
+                + self.shards.len()
+                + slots.len() * (SERIES_HEAD_LEN + OPEN_BLOCK_EST)
+                + occ.hot_points * HOT_POINT_EST
                 + occ.warm_bytes
                 + (occ.warm_points / self.seal_threshold + slots.len()) * BLOCK_HEAD_LEN,
         );
         self.snapshot_head().encode_series(
             slots.len(),
             slots.iter().map(|s| (s.key, s.data.hot.as_slice(), s.data.warm.as_slice())),
+            OpenBlock::write,
             out,
         );
     }
@@ -960,6 +961,13 @@ impl TimeSeriesStore {
     /// seek swaps state without rebuilding the surrounding system.
     pub fn load_snapshot(&self, snap: StoreSnapshot) -> Result<(), SnapshotError> {
         self.check_fits(&snap)?;
+        // Decompress every hot tail before anything changes: one bad tail
+        // refuses the whole snapshot.
+        let mut scratch = HotScratch::default();
+        let mut hot_tails = Vec::with_capacity(snap.series.len());
+        for s in &snap.series {
+            hot_tails.push(s.hot.decompress(self.seal_threshold, &mut scratch)?);
+        }
         for shard in &self.shards {
             let mut shard = shard.write();
             shard.slots.clear();
@@ -969,8 +977,8 @@ impl TimeSeriesStore {
         let mut warm_points = 0u64;
         let mut warm_bytes = 0u64;
         let series_count = snap.series.len() as u64;
-        for s in snap.series {
-            hot_points += s.hot.len() as u64;
+        for (s, hot) in snap.series.into_iter().zip(hot_tails) {
+            hot_points += hot.len() as u64;
             for b in &s.warm {
                 warm_points += b.count as u64;
                 warm_bytes += b.compressed_bytes() as u64;
@@ -978,9 +986,7 @@ impl TimeSeriesStore {
             let mut shard = self.shard_of(&s.key).write();
             let slot = shard.slots.len() as u32;
             shard.index.insert(s.key, slot);
-            shard
-                .slots
-                .push(SeriesSlot { key: s.key, data: SeriesData { warm: s.warm, hot: s.hot } });
+            shard.slots.push(SeriesSlot { key: s.key, data: SeriesData { warm: s.warm, hot } });
         }
         // Every slot may have moved: cached routes are stale.
         self.bump_layout();
@@ -1016,10 +1022,105 @@ impl TimeSeriesStore {
 pub struct SeriesSnapshot {
     /// The series.
     pub key: SeriesKey,
-    /// Unsealed points.
-    pub hot: Vec<(Ts, f64)>,
+    /// Unsealed points, compressed.
+    pub hot: OpenBlock,
     /// Sealed compressed blocks.
     pub warm: Vec<SeriesBlock>,
+}
+
+/// A series' unsealed points as a checkpoint carries them: an *open*
+/// block, the timestamp and value streams of a [`SeriesBlock`] without a
+/// sealed block's header.  The hot tier stays compressed end to end; its
+/// points come back only when the snapshot is loaded.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OpenBlock {
+    ts_bytes: Vec<u8>,
+    val_bytes: Vec<u8>,
+}
+
+impl OpenBlock {
+    /// Compress a time-ordered, possibly empty run of points.
+    pub(crate) fn compress(points: &[(Ts, f64)]) -> OpenBlock {
+        let mut ts_bytes = Vec::with_capacity(points.len() + 8);
+        compress::write_timestamps(points.iter().map(|p| p.0), &mut ts_bytes);
+        let mut vals = Vec::new();
+        compress::write_values(points.iter().map(|p| p.1), &mut vals);
+        // Sealed blocks live as long as the store, so they keep no growth
+        // slack.  An exact-size copy, not `shrink_to_fit`: shrinking in
+        // place fragments the heap (dashboard_512 peak RSS +3%).
+        OpenBlock { ts_bytes, val_bytes: vals.to_vec() }
+    }
+
+    /// Append the section form of `points` as an open block,
+    /// `[u32 ts_len][ts][u32 val_len][vals]`, compressing straight into
+    /// `out`: the same bytes as [`OpenBlock::compress`] then
+    /// [`OpenBlock::put`].
+    fn write(points: &[(Ts, f64)], out: &mut Vec<u8>) {
+        put_len_prefixed(out, |out| compress::write_timestamps(points.iter().map(|p| p.0), out));
+        put_len_prefixed(out, |out| compress::write_values(points.iter().map(|p| p.1), out));
+    }
+
+    /// Append this block's section form.
+    fn put(&self, out: &mut Vec<u8>) {
+        for bytes in [&self.ts_bytes, &self.val_bytes] {
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
+        }
+    }
+
+    /// The points, refusing anything a live store cannot hold (see
+    /// [`decode_hot`]).
+    fn decompress(
+        &self,
+        seal_threshold: usize,
+        scratch: &mut HotScratch,
+    ) -> Result<Vec<(Ts, f64)>, SnapshotError> {
+        decode_hot(&self.ts_bytes, &self.val_bytes, seal_threshold, scratch)?;
+        Ok(scratch.ts.iter().copied().zip(scratch.vals.iter().copied()).collect())
+    }
+}
+
+/// Reusable decompression buffers for hot tails, never kept by a snapshot.
+#[derive(Default)]
+struct HotScratch {
+    ts: Vec<Ts>,
+    vals: Vec<f64>,
+}
+
+/// Decompress a hot tail's timestamp and value streams into `scratch`.
+/// Refuses malformed streams, streams of unequal length, decreasing
+/// stamps, and tails of `seal_threshold` or more points, which a live
+/// store would already have sealed.  That last check runs on the stream
+/// headers first, so it also bounds what is decompressed.
+fn decode_hot(
+    ts: &[u8],
+    vals: &[u8],
+    seal_threshold: usize,
+    scratch: &mut HotScratch,
+) -> Result<(), SnapshotError> {
+    const MALFORMED: SnapshotError = SnapshotError::Malformed("hot block");
+    let n = compress::declared_points(ts).ok_or(MALFORMED)?;
+    if compress::declared_points(vals).ok_or(MALFORMED)? != n {
+        return Err(SnapshotError::Malformed("hot block point counts differ"));
+    }
+    if n >= seal_threshold as u64 {
+        return Err(SnapshotError::Malformed("hot tail reaches the seal threshold"));
+    }
+    compress::decompress_timestamps_into(ts, &mut scratch.ts).ok_or(MALFORMED)?;
+    compress::decompress_values_into(vals, &mut scratch.vals).ok_or(MALFORMED)?;
+    if scratch.ts.windows(2).any(|w| w[0] > w[1]) {
+        return Err(SnapshotError::Malformed("hot points out of order"));
+    }
+    Ok(())
+}
+
+/// Append a `u32` length word, then the bytes `write` appends.
+fn put_len_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Complete serializable state of the store at a tick boundary.
@@ -1076,16 +1177,22 @@ impl std::error::Error for SnapshotError {}
 //   u32 n, n × u8 write-fault flags (n = num_shards),
 //   u64 series count, then per series in ascending key order:
 //     u32 metric, u8 component kind, u32 component index,
-//     u32 hot length h, h × u64 ts, h × u64 value bits,
+//     the hot tail as an open block (fewer points than seal_threshold):
+//       u32 len + compressed timestamps, u32 len + compressed values,
 //     u32 warm block count, per block:
 //       u64 start, u64 end, u32 count, u32 len + ts_bytes, u32 len + val_bytes.
 
 /// Fixed header bytes before the write-fault flags and series.
 const SECTION_HEAD_LEN: usize = 8 * 8 + 4 + 8;
-/// Key plus the hot and warm length words: the least a series occupies.
-const SERIES_HEAD_LEN: usize = 4 + 1 + 4 + 4 + 4;
-/// One hot point: a timestamp and a value, 8 bytes each.
-const POINT_LEN: usize = 16;
+/// Key plus the two hot and one warm length words: the least a series
+/// occupies.
+const SERIES_HEAD_LEN: usize = 4 + 1 + 4 + 4 + 4 + 4;
+/// Reserve estimate for an open block's stream headers: point counts, the
+/// first timestamp and the first value's 64 bits.
+const OPEN_BLOCK_EST: usize = 24;
+/// Reserve estimate per compressed hot point: about one byte for a
+/// regular timestamp and one or two for a slowly moving value.
+const HOT_POINT_EST: usize = 3;
 /// A warm block's fixed fields: start, end, count and two length words.
 const BLOCK_HEAD_LEN: usize = 8 + 8 + 4 + 4 + 4;
 
@@ -1094,18 +1201,21 @@ impl StoreSnapshot {
     pub fn encode(&self, out: &mut Vec<u8>) {
         self.encode_series(
             self.series.len(),
-            self.series.iter().map(|s| (s.key, s.hot.as_slice(), s.warm.as_slice())),
+            self.series.iter().map(|s| (s.key, &s.hot, s.warm.as_slice())),
+            OpenBlock::put,
             out,
         );
     }
 
     /// Write this snapshot's header fields, then `count` series records
-    /// (which must come in ascending key order) — the one writer behind
-    /// [`StoreSnapshot::encode`] and [`TimeSeriesStore::encode_snapshot`].
-    fn encode_series<'a>(
+    /// (which must come in ascending key order), each hot tail written by
+    /// `put_hot` — the one writer behind [`StoreSnapshot::encode`] and
+    /// [`TimeSeriesStore::encode_snapshot`].
+    fn encode_series<'a, H>(
         &self,
         count: usize,
-        series: impl Iterator<Item = (SeriesKey, &'a [(Ts, f64)], &'a [SeriesBlock])>,
+        series: impl Iterator<Item = (SeriesKey, H, &'a [SeriesBlock])>,
+        mut put_hot: impl FnMut(H, &mut Vec<u8>),
         out: &mut Vec<u8>,
     ) {
         for v in [
@@ -1127,13 +1237,7 @@ impl StoreSnapshot {
             out.extend_from_slice(&key.metric.0.to_le_bytes());
             out.push(key.comp.kind as u8);
             out.extend_from_slice(&key.comp.index.to_le_bytes());
-            out.extend_from_slice(&(hot.len() as u32).to_le_bytes());
-            for &(ts, _) in hot {
-                out.extend_from_slice(&ts.0.to_le_bytes());
-            }
-            for &(_, v) in hot {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            put_hot(hot, out);
             out.extend_from_slice(&(warm.len() as u32).to_le_bytes());
             for b in warm {
                 out.extend_from_slice(&b.start.0.to_le_bytes());
@@ -1153,8 +1257,11 @@ impl StoreSnapshot {
     /// is checked against the bytes that remain before anything is
     /// allocated, so the decoded value is at most a small constant times
     /// the input's size.  Block payloads are copied verbatim, not
-    /// decompressed — a corrupt block is the query path's concern, as it
-    /// is for any other warm block.
+    /// decompressed — a corrupt warm block is the query path's concern, as
+    /// it is for any other warm block.  Hot tails stay compressed too, but
+    /// are checked point by point ([`decode_hot`], into scratch buffers the
+    /// snapshot does not keep), so a decoded section never holds a hot
+    /// tail that fails to load.
     pub fn decode(bytes: &[u8]) -> Result<StoreSnapshot, SnapshotError> {
         let mut r = SectionReader { bytes };
         let num_shards = r.usize()?;
@@ -1187,21 +1294,18 @@ impl StoreSnapshot {
             return Err(SnapshotError::Truncated);
         }
         let mut series: Vec<SeriesSnapshot> = Vec::with_capacity(n_series);
+        let mut scratch = HotScratch::default();
         for _ in 0..n_series {
             let key = r.key()?;
             if series.last().is_some_and(|prev| prev.key >= key) {
                 return Err(SnapshotError::Malformed("series keys out of order"));
             }
-            let h = r.len(POINT_LEN)?;
-            let (ts, vals) = r.take(h * POINT_LEN)?.split_at(h * 8);
-            let hot: Vec<(Ts, f64)> = ts
-                .chunks_exact(8)
-                .zip(vals.chunks_exact(8))
-                .map(|(t, v)| (Ts(le_u64(t)), f64::from_bits(le_u64(v))))
-                .collect();
-            if hot.windows(2).any(|w| w[0].0 > w[1].0) {
-                return Err(SnapshotError::Malformed("hot points out of order"));
-            }
+            let ts_len = r.len(1)?;
+            let ts = r.take(ts_len)?;
+            let val_len = r.len(1)?;
+            let vals = r.take(val_len)?;
+            decode_hot(ts, vals, seal_threshold, &mut scratch)?;
+            let hot = OpenBlock { ts_bytes: ts.to_vec(), val_bytes: vals.to_vec() };
             let n_blocks = r.len(BLOCK_HEAD_LEN)?;
             let mut warm = Vec::with_capacity(n_blocks);
             for _ in 0..n_blocks {
@@ -1928,7 +2032,8 @@ mod tests {
                 .series
                 .iter()
                 .map(|s| {
-                    s.hot.capacity() * size_of::<(Ts, f64)>()
+                    s.hot.ts_bytes.capacity()
+                        + s.hot.val_bytes.capacity()
                         + s.warm.capacity() * size_of::<SeriesBlock>()
                         + s.warm
                             .iter()
@@ -2004,12 +2109,39 @@ mod tests {
         let mut huge = bytes.clone();
         huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(StoreSnapshot::decode(&huge).err(), Some(SnapshotError::Truncated));
-        // The hot length of the one series: u32::MAX points over 16 bytes.
+        // The one series' hot timestamp length: u32::MAX bytes over 17.
         let mut hot = bytes.clone();
         let h = at + 8 + 9;
         hot[h..h + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(StoreSnapshot::decode(&hot).err(), Some(SnapshotError::Truncated));
         assert!(StoreSnapshot::decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn hot_tail_at_the_seal_threshold_is_refused() {
+        let store = TimeSeriesStore::with_options(2, 8);
+        for t in 0..7u64 {
+            store.insert(&sample(0, 1, t * 1_000, t as f64));
+        }
+        let mut bytes = section(&store.snapshot());
+        assert!(StoreSnapshot::decode(&bytes).is_ok(), "7 hot points under a threshold of 8");
+        // The same tail under a threshold of 7: a live store seals it.
+        bytes[8..16].copy_from_slice(&7u64.to_le_bytes());
+        assert_eq!(
+            StoreSnapshot::decode(&bytes).err(),
+            Some(SnapshotError::Malformed("hot tail reaches the seal threshold"))
+        );
+        // The load path refuses it too, however the snapshot was made.
+        let json = serde_json::to_string(&store.snapshot()).unwrap();
+        let forged: StoreSnapshot =
+            serde_json::from_str(&json.replace("\"seal_threshold\":8", "\"seal_threshold\":7"))
+                .unwrap();
+        let target = TimeSeriesStore::with_options(2, 7);
+        assert_eq!(
+            target.load_snapshot(forged),
+            Err(SnapshotError::Malformed("hot tail reaches the seal threshold"))
+        );
+        assert!(target.all_series().is_empty(), "a refused snapshot changes nothing");
     }
 
     #[test]

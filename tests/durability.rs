@@ -742,3 +742,40 @@ proptest! {
         let _ = CoreSnapshot::decode(&flipped);
     }
 }
+
+/// A full hot tier: 511 ticks of one sample a series a tick, one short of
+/// the default seal threshold of 512, so every point is still hot.  Its
+/// checkpoint holds the hot tails as compressed open blocks, at most
+/// 3 bytes a point where raw columns took 16, and restores exactly.
+#[test]
+fn a_full_hot_tier_checkpoints_compressed_and_restores_exactly() {
+    let mut mon = builder(0).build();
+    seed_inputs(&mut mon);
+    mon.run_ticks(511);
+    let occ = mon.store().occupancy();
+    assert_eq!(occ.warm_points, 0, "nothing has sealed");
+    assert!(occ.hot_points > 500 * occ.series, "{occ:?}");
+    let bytes = mon.encode_checkpoint();
+    let head_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let section = bytes.len() - 20 - head_len;
+    assert!(section <= 3 * occ.hot_points, "{section} B for {} hot points", occ.hot_points);
+
+    let mut twin = builder(0).build();
+    twin.try_restore_snapshot(CoreSnapshot::decode(&bytes).unwrap()).expect("same configuration");
+    let (a, b) = (twin.store(), mon.store());
+    assert_eq!(a.stats(), b.stats());
+    assert_eq!(a.occupancy(), b.occupancy());
+    assert_eq!(a.state_digest(), b.state_digest());
+    assert_eq!(twin.encode_checkpoint(), bytes, "every hot point restored bit for bit");
+}
+
+/// A checkpoint stamped with the previous layout version (1, raw hot
+/// columns) is not read: recovery reports it undecodable and resumes
+/// fresh.
+#[test]
+fn version_1_checkpoint_is_reported_undecodable() {
+    let mut v1 = sample_checkpoint().to_vec();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(CoreSnapshot::decode(&v1).err(), Some(CheckpointError::Version(1)));
+    assert_resumes_fresh(|| builder(0), &v1);
+}
